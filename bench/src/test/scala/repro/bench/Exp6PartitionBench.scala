@@ -11,7 +11,11 @@ import repro.graphgen.Datasets
   */
 class Exp6PartitionBench extends SparkSpec {
 
-  private case class Row(cut: Double, balance: Double, acRounds: Int, acMsgs: Long, scRounds: Int, scMsgs: Long)
+  private case class Row(
+      cut: Double, balance: Double,
+      acRounds: Int, acMsgs: Long, acWall: Double,
+      scRounds: Int, scMsgs: Long, scWall: Double
+  )
 
   private lazy val rows: Map[String, Row] = {
     BenchUtil.banner("Fig. 7 (Exp-6): partition strategies (AC-B / SC-B on WV stand-in, 8 blocks)")
@@ -27,15 +31,17 @@ class Exp6PartitionBench extends SparkSpec {
       Partitioners.fennel(edges, B),
       Partitioners.metisLike(edges, B)
     )
-    println(f"${"strategy"}%-12s${"cut"}%7s${"imbal"}%7s${"AC-B rnds"}%10s${"AC-B msgs"}%12s${"SC-B rnds"}%10s${"SC-B msgs"}%12s")
+    println(f"${"strategy"}%-12s${"cut"}%7s${"imbal"}%7s${"AC-B rnds"}%10s${"AC-B msgs"}%12s${"AC-B s"}%8s" +
+      f"${"SC-B rnds"}%10s${"SC-B msgs"}%12s${"SC-B s"}%8s")
     val out = for (p <- strategies) yield {
       val mode = BlockCentric(p.assign, B)
-      val ac = AnchoredCoreness.run(g, mode)
-      val sc = SkylineCoreness.run(g, mode)
+      val (ac, acWall) = BenchUtil.timed(AnchoredCoreness.run(g, mode))
+      val (sc, scWall) = BenchUtil.timed(SkylineCoreness.run(g, mode))
       val sizes = p.blockSizes(ids)
       val imbalance = sizes.max.toDouble / (ids.size.toDouble / B)
-      val row = Row(p.cutFraction(edges), imbalance, ac.totalRounds, ac.totalMessages, sc.rounds, sc.totalMessages)
-      println(f"${p.name}%-12s${row.cut}%7.3f${row.balance}%7.2f${row.acRounds}%10d${row.acMsgs}%12d${row.scRounds}%10d${row.scMsgs}%12d")
+      val row = Row(p.cutFraction(edges), imbalance, ac.totalRounds, ac.totalMessages, acWall, sc.rounds, sc.totalMessages, scWall)
+      println(f"${p.name}%-12s${row.cut}%7.3f${row.balance}%7.2f${row.acRounds}%10d${row.acMsgs}%12d${row.acWall}%8.2f" +
+        f"${row.scRounds}%10d${row.scMsgs}%12d${row.scWall}%8.2f")
       BenchUtil.clearCache(spark)
       p.name -> row
     }

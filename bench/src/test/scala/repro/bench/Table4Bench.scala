@@ -15,6 +15,7 @@ class Table4Bench extends SparkSpec {
       upper: Int,
       acv: (Int, Int, Int), acb: (Int, Int, Int),
       scv: Int, scb: Int,
+      scvInit: (Int, Int), scbInit: (Int, Int),
       agree: Boolean
   ) {
     def acvTotal: Int = acv._1 + acv._2 + acv._3
@@ -38,7 +39,9 @@ class Table4Bench extends SparkSpec {
         upper,
         (acv.phase1.rounds, acv.phase2.rounds, acv.phase3.rounds),
         (acb.phase1.rounds, acb.phase2.rounds, acb.phase3.rounds),
-        scv.rounds, scb.rounds, agree
+        scv.rounds, scb.rounds,
+        (scv.initIn.rounds, scv.initOut.rounds), (scb.initIn.rounds, scb.initOut.rounds),
+        agree
       )
     }
     val m = out.toMap
@@ -50,6 +53,9 @@ class Table4Bench extends SparkSpec {
     line("AC-B I", _.acb._1); line("AC-B II", _.acb._2); line("AC-B III", _.acb._3)
     line("AC-B tot", _.acbTotal)
     line("SC-V", _.scv); line("SC-B", _.scb)
+    // Opt-3 initialisation (two Alg.-2 fixpoints), not counted in Table 4
+    line("SC-V init", r => s"${r.scvInit._1}+${r.scvInit._2}")
+    line("SC-B init", r => s"${r.scbInit._1}+${r.scbInit._2}")
     m
   }
 

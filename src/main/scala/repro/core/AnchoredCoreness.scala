@@ -157,8 +157,7 @@ object AnchoredCoreness {
   ) {
     def totalRounds: Int = phase1.rounds + phase2.rounds + phase3.rounds
     def totalMessages: Long = phase1.totalMessages + phase2.totalMessages + phase3.totalMessages + setupMessages
-    def skyline: RDD[(Long, Vector[(Int, Int)])] =
-      lmax.mapValues(arr => Dominance.skyline(arr.zipWithIndex.map { case (l, k) => (k, l) }))
+    def skyline: RDD[(Long, Vector[(Int, Int)])] = lmax.mapValues(Coreness.skylineOfAnchored)
   }
 
   final case class Trace(

@@ -70,9 +70,7 @@ object BruteForce {
 
   /** Skyline corenesses SC(v) (Def. 5.2), derived from Φ(v). */
   def skylineCorenesses(g: LocalGraph): Map[Long, Vector[(Int, Int)]] =
-    anchoredCorenesses(g).view
-      .mapValues(arr => Dominance.skyline(arr.zipWithIndex.map { case (l, k) => (k, l) }))
-      .toMap
+    anchoredCorenesses(g).view.mapValues(Coreness.skylineOfAnchored).toMap
 
   /** All non-empty D-cores as a map (k,l) -> vertex set. Tiny graphs only. */
   def allCores(g: LocalGraph): Map[(Int, Int), Set[Long]] = {

@@ -82,30 +82,28 @@ object SkylineSet {
   def of(pairs: Iterable[(Int, Int)]): SkylineSet = SkylineSet(Dominance.skyline(pairs))
 }
 
-/** D-index of two pair sets (Def. 5.3): the skyline of all (k,l) such that
-  * at least k pairs of `rin` and at least l pairs of `rout` dominate-or-equal
-  * (k,l). Implements Optimization-1: k is capped by H({k_i : rin}), l by
-  * H({l_j : rout}), and the `lmin` staircase prunes dominated candidates.
+/** D-index (Def. 5.3, Alg. 6 with Optimizations 1–2) of a vertex whose
+  * in- and out-neighbours hold the given `SkylineSet`s: the skyline of all
+  * (k,l) such that at least k in-neighbours and at least l out-neighbours
+  * dominate-or-equal (k,l). k is capped by H({maxK of each in-neighbour}),
+  * l by H({maxL of each out-neighbour}), and the `lmin` staircase prunes
+  * dominated candidates. This is the kernel SC runs every superstep.
   */
 object DIndex {
-  import repro.core.{HIndex => H}
 
-  def apply(rin: Iterable[(Int, Int)], rout: Iterable[(Int, Int)]): Vector[(Int, Int)] = {
-    val rinV  = rin.toVector
-    val routV = rout.toVector
-    val kCap  = H.hIndex(rinV.map(_._1))
-    val lCap  = H.hIndex(routV.map(_._2))
+  def apply(in: Array[SkylineSet], out: Array[SkylineSet]): Vector[(Int, Int)] = {
+    val kCap = HIndex.hIndex(in.map(_.maxK))
+    val lCap = HIndex.hIndex(out.map(_.maxL))
 
-    def supports(k: Int, l: Int): Boolean = {
-      var cin = 0
-      rinV.foreach { case (ki, li) => if (ki >= k && li >= l) cin += 1 }
-      if (cin < k) return false
-      var cout = 0
-      routV.foreach { case (kj, lj) => if (kj >= k && lj >= l) cout += 1 }
-      cout >= l
+    def count(sets: Array[SkylineSet], k: Int, l: Int): Int = {
+      var c = 0
+      var i = 0
+      while (i < sets.length) { if (sets(i).dominatesOrEq(k, l)) c += 1; i += 1 }
+      c
     }
+    def supports(k: Int, l: Int): Boolean = count(in, k, l) >= k && count(out, k, l) >= l
 
-    val out = Vector.newBuilder[(Int, Int)]
+    val res = Vector.newBuilder[(Int, Int)]
     var lmin = 0
     var emitted = false
     var k = kCap
@@ -113,18 +111,22 @@ object DIndex {
       var l = lCap
       var found = false
       while (l > lmin && !found) {
-        if (supports(k, l)) { out += ((k, l)); lmin = l; found = true }
+        if (supports(k, l)) { res += ((k, l)); lmin = l; found = true }
         l -= 1
       }
       // l = 0 candidates: only the largest supported k matters (see DESIGN.md
       // §7 — Alg. 6 as printed skips l=0, but skyline pairs like (2,0) exist).
-      if (!found && !emitted && lmin == 0 && supports(k, 0) && k > 0) {
-        out += ((k, 0)); found = true
+      if (!found && !emitted && lmin == 0 && k > 0 && supports(k, 0)) {
+        res += ((k, 0)); found = true
       }
       if (found) emitted = true
       k -= 1
     }
-    val res = out.result()
-    if (res.isEmpty) Vector((0, 0)) else res
+    val d = res.result()
+    if (d.isEmpty) Vector((0, 0)) else d
   }
+
+  /** D-index of two pair sets, each pair standing for one neighbour. */
+  def apply(rin: Iterable[(Int, Int)], rout: Iterable[(Int, Int)]): Vector[(Int, Int)] =
+    apply(rin.iterator.map(p => SkylineSet(Vector(p))).toArray, rout.iterator.map(p => SkylineSet(Vector(p))).toArray)
 }

@@ -31,10 +31,7 @@ object Peeling {
       stats: PeelingStats
   ) {
     def kmax: Map[Long, Int] = anchored.view.mapValues(_.length - 1).toMap
-    def skyline: Map[Long, Vector[(Int, Int)]] =
-      anchored.view
-        .mapValues(arr => Dominance.skyline(arr.zipWithIndex.map { case (l, k) => (k, l) }))
-        .toMap
+    def skyline: Map[Long, Vector[(Int, Int)]] = anchored.view.mapValues(Coreness.skylineOfAnchored).toMap
   }
 
   /** In-coreness of every vertex: classic k-core peeling on in-degree only

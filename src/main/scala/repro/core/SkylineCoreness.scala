@@ -12,11 +12,12 @@ import repro.engine._
   * dominate-or-equal (k,l) — until a global fixpoint, which Theorem 5.1
   * shows equals SC(v). All three optimisations of Sec. 5.3 are implemented:
   *
-  *  - Opt-1/2: candidate (k,l)'s are capped by kmax = H({max-k of each
-  *    in-neighbor's D-index}) and lmax = H({max-l per out-neighbor}); the
-  *    `lmin` staircase prunes dominated candidates; per-neighbor dominance
-  *    is answered in O(log s) by the `SkylineSet` staircase, and each
-  *    candidate is checked once (not once per neighbor-pair combination).
+  *  - Opt-1/2 (in `DIndex`): candidate (k,l)'s are capped by kmax =
+  *    H({max-k of each in-neighbor's D-index}) and lmax = H({max-l per
+  *    out-neighbor}); the `lmin` staircase prunes dominated candidates;
+  *    per-neighbor dominance is answered in O(log s) by the `SkylineSet`
+  *    staircase, and each candidate is checked once (not once per
+  *    neighbor-pair combination).
   *  - Opt-3: D^(0)(v) = {(kmax(v), lmax(v))} via two directional H-index
   *    fixpoints (Alg. 2 run twice) instead of the raw degrees.
   */
@@ -39,45 +40,10 @@ object SkylineCoreness {
     def initialMessages(vid: Long, c: SCCtx, s: SCState): Iterator[(Long, Msg)] =
       targets(c).map(t => (t, (vid, s.d)))
 
-    /** Algorithm 6 with the l=0 completion (DESIGN.md §7). */
-    private[core] def dIndexOf(c: SCCtx, nbr: Map[Long, SkylineSet]): Vector[(Int, Int)] = {
-      def sky(u: Long): SkylineSet = nbr.getOrElse(u, SkylineSet.empty)
-      val kCap = HIndex.hIndex(c.inN.iterator.map(u => sky(u).maxK).toSeq)
-      val lCap = HIndex.hIndex(c.outN.iterator.map(u => sky(u).maxL).toSeq)
-
-      def support(k: Int, l: Int): Boolean = {
-        var cntIn = 0
-        c.inN.foreach(u => if (sky(u).dominatesOrEq(k, l)) cntIn += 1)
-        if (cntIn < k) return false
-        var cntOut = 0
-        c.outN.foreach(u => if (sky(u).dominatesOrEq(k, l)) cntOut += 1)
-        cntOut >= l
-      }
-
-      val out = Vector.newBuilder[(Int, Int)]
-      var lmin = 0
-      var emitted = false
-      var k = kCap
-      while (k >= 0) {
-        var l = lCap
-        var found = false
-        while (l > lmin && !found) {
-          if (support(k, l)) { out += ((k, l)); lmin = l; found = true }
-          l -= 1
-        }
-        if (!found && !emitted && lmin == 0 && k > 0 && support(k, 0)) {
-          out += ((k, 0)); found = true
-        }
-        if (found) emitted = true
-        k -= 1
-      }
-      val res = out.result()
-      if (res.isEmpty) Vector((0, 0)) else res
-    }
-
     def compute(vid: Long, c: SCCtx, s: SCState, msgs: Seq[Msg]): (SCState, Iterator[(Long, Msg)], Boolean) = {
       val nbr = s.nbr ++ msgs.iterator.map { case (u, pairs) => (u, SkylineSet(pairs)) }
-      val d2 = dIndexOf(c, nbr)
+      def skylines(ids: Array[Long]): Array[SkylineSet] = ids.map(u => nbr.getOrElse(u, SkylineSet.empty))
+      val d2 = DIndex(skylines(c.inN), skylines(c.outN))
       val changed = d2 != s.d
       val out =
         if (changed) targets(c).map(t => (t, (vid, d2)))

@@ -11,7 +11,6 @@ final case class VertexAdj(inN: Array[Long], outN: Array[Long]) {
   def inDeg: Int = inN.length
   def outDeg: Int = outN.length
   def deg: Int = inN.length + outN.length
-  def neighbors: Iterator[Long] = inN.iterator ++ outN.iterator
   def distinctNeighbors: Array[Long] = (inN ++ outN).distinct
 }
 

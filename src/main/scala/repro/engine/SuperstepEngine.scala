@@ -145,8 +145,11 @@ object SuperstepEngine {
     var prevStepped: RDD[_] = null
     var prevSteppedCheckpointed = false
     var prevState: RDD[_] = state
+    // Vertex-centric selfWake vertices that changed re-run next round even
+    // without messages; block-centric mode settles them inside the round.
+    def pending: Boolean = pendingMsgs > 0 || (selfWake && !localDelivery && pendingChanged > 0)
 
-    while (round < maxRounds && (pendingMsgs > 0 || (selfWake && !localDelivery && pendingChanged > 0))) {
+    while (round < maxRounds && pending) {
       round += 1
       val r = round
       val grouped = state.cogroup(msgs, part)
@@ -186,7 +189,7 @@ object SuperstepEngine {
       msgs = newMsgs
       onRoundEnd(round, state.mapValues(_.state))
     }
-    require(round < maxRounds || pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
+    require(!pending, s"engine did not converge within $maxRounds rounds")
 
     val finalStates = state.mapValues(_.state).persist(StorageLevel.MEMORY_AND_DISK)
     finalStates.count()
@@ -221,12 +224,9 @@ object SuperstepEngine {
     val verts = mutable.LinkedHashMap.empty[Long, VR[C, S]]
     var inbox = mutable.HashMap.empty[Long, mutable.ArrayBuffer[M]]
     it.foreach { case (vid, (vrs, ms)) =>
-      if (vrs.nonEmpty) {
-        verts(vid) = vrs.head
-        if (ms.nonEmpty) inbox.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) ++= ms
-      }
-      // messages to unknown vertices are dropped (cannot happen for
-      // neighbor-addressed messages)
+      require(vrs.nonEmpty, s"round $round: message sent to unknown vertex $vid")
+      verts(vid) = vrs.head
+      if (ms.nonEmpty) inbox.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) ++= ms
     }
     val remoteOut = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, M)]]
     val localSent = mutable.HashMap.empty[Long, Long]

@@ -5,8 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.engine.DirectedGraph
 
-/** Synthetic directed-graph generators (DataFrame API), extending the
-  * SynthData generator family to the graph domain this paper needs.
+/** Synthetic directed-graph generators (DataFrame API).
   *
   * All generators are deterministic in (parameters, seed): `spark.range`
   * uses a fixed partition count so `rand(seed)` draws are stable across

@@ -90,14 +90,4 @@ class CorenessOracleSpec extends SparkSpec {
       "anchored" -> df
     )
   }
-
-  test("SynthData TPC-H-lite generators still work alongside graph data (smoke)") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.001)
-    val sparkSide = li.agg(count(lit(1)).cast("long") as "n", max($"l_quantity") as "maxq")
-    Oracle.assertEquivalent(
-      sparkSide,
-      "SELECT COUNT(*) AS n, MAX(CAST(l_quantity AS DOUBLE)) AS maxq FROM lineitem",
-      "lineitem" -> li
-    )
-  }
 }

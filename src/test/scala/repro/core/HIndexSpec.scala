@@ -172,6 +172,23 @@ class DIndexSpec extends AnyFunSuite {
       assert(DIndex(rin, rout) == reference(rin, rout), s"i=$i rin=$rin rout=$rout")
     }
   }
+  test("multi-pair neighbour skylines match the definitional reference") {
+    // A neighbour supports (k,l) when any of its pairs dominates-or-equals
+    // (k,l), and it counts once however many of its pairs do.
+    val rng = new Random(10)
+    def neighbours(): Array[SkylineSet] =
+      Array.fill(rng.nextInt(7))(SkylineSet.of(Seq.fill(1 + rng.nextInt(4))((rng.nextInt(6), rng.nextInt(6)))))
+    def supporters(ns: Array[SkylineSet], k: Int, l: Int): Int =
+      ns.count(_.pairs.exists { case (ki, li) => ki >= k && li >= l })
+    for (i <- 1 to 200) {
+      val (in, out) = (neighbours(), neighbours())
+      val ok = for {
+        k <- 0 to in.length; l <- 0 to out.length
+        if supporters(in, k, l) >= k && supporters(out, k, l) >= l
+      } yield (k, l)
+      assert(DIndex(in, out) == Dominance.skyline(ok), s"i=$i in=${in.toSeq} out=${out.toSeq}")
+    }
+  }
   test("result is a staircase") {
     val rng = new Random(9)
     for (_ <- 1 to 50) {

@@ -34,6 +34,17 @@ object TestPrograms {
     def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
       if (s > a.deg) (s - 1, Iterator.empty, true) else (s, Iterator.empty, false)
   }
+
+  /** Every vertex addresses its initial message to `Stray`, an id outside
+    * the graph.
+    */
+  object StrayMessage extends VertexProgram[VertexAdj, Int, Int] {
+    val Stray = 999L
+    def initialState(vid: Long, a: VertexAdj): Int = 0
+    def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] = Iterator((Stray, 1))
+    def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
+      (s, Iterator.empty, false)
+  }
 }
 
 class EngineSpec extends SparkSpec {
@@ -162,6 +173,21 @@ class EngineSpec extends SparkSpec {
   test("engine enforces maxRounds") {
     assertThrows[IllegalArgumentException] {
       SuperstepEngine.run(adjOf(GraphGen.randomLocalEdges(60, 150, 14)), MinLabel, VertexCentric(4), maxRounds = 1)
+    }
+  }
+
+  test("engine enforces maxRounds on a selfWake program still settling without messages") {
+    assertThrows[IllegalArgumentException] {
+      SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(50, wake = true), VertexCentric(2), maxRounds = 3)
+    }
+  }
+
+  test("a message to a vertex outside the graph fails the run") {
+    for (mode <- Seq(VertexCentric(2), blockMode(2))) {
+      val e = intercept[org.apache.spark.SparkException] {
+        SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), StrayMessage, mode)
+      }
+      assert(e.getMessage.contains(s"unknown vertex ${StrayMessage.Stray}"), s"${mode.name}: ${e.getMessage}")
     }
   }
 
