@@ -10,7 +10,6 @@ import repro.core.LocalGraph
 final case class VertexAdj(inN: Array[Long], outN: Array[Long]) {
   def inDeg: Int = inN.length
   def outDeg: Int = outN.length
-  def deg: Int = inN.length + outN.length
   def distinctNeighbors: Array[Long] = (inN ++ outN).distinct
 }
 

@@ -1,6 +1,6 @@
 package repro.engine
 
-import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.{HashPartitioner, Partitioner, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
@@ -86,18 +86,52 @@ private final case class BlockPartitioner(assign: Long => Int, numBlocks: Int) e
 
 /** Synchronous superstep executor over Spark RDDs.
   *
-  * Each round: shuffle messages to their target vertex, co-group with the
-  * vertex states (narrow on the state side — states never move after the
-  * initial partitioning), run the vertex program, emit next-round messages.
-  * Terminates when no messages are in flight (and, for `selfWake` programs,
-  * no vertex is still settling) — the paper's "no vertex broadcasts
-  * messages" condition.
+  * Every RDD in a run holds one record per partition (= block): the context
+  * as two arrays sorted by vertex id, and per round a `Block` of states,
+  * flags and outbound messages aligned to that order. Each round shuffles
+  * the previous round's outbox to its target blocks with `partitionBy` (no
+  * aggregator, so the reader streams plain records), zips context, previous
+  * record and inbox partition by partition, and runs `stepBlock` on them.
+  * Each round's record is local-checkpointed, so no task carries more than
+  * one round of lineage. Terminates when no messages are in flight (and, for
+  * `selfWake` programs, no vertex is still settling) — the paper's "no
+  * vertex broadcasts messages" condition.
   */
 object SuperstepEngine {
 
-  private final case class VR[C, S](ctx: C, state: S, changed: Boolean, lastChanged: Int)
-
   final case class RunResult[S](states: RDD[(Long, S)], metrics: EngineMetrics)
+
+  /** One block's counts for one round. `changed`: vertices whose last change
+    * is this round; `settling`: vertices whose latest compute changed them.
+    * The last-changed histogram is kept every round so the final one comes
+    * with the last round's job instead of a job of its own.
+    */
+  private[engine] final case class RoundCounts(
+      remote: Long,
+      local: Long,
+      changed: Long,
+      settling: Long,
+      lastChangedHist: Map[Int, Long]
+  ) {
+    def +(o: RoundCounts): RoundCounts = RoundCounts(
+      remote + o.remote,
+      local + o.local,
+      changed + o.changed,
+      settling + o.settling,
+      o.lastChangedHist.foldLeft(lastChangedHist) { case (h, (r, n)) => h.updated(r, h.getOrElse(r, 0L) + n) }
+    )
+  }
+
+  /** One block after a round; the arrays are aligned to the block's sorted
+    * vertex ids. `outbox` holds the messages bound for the next round.
+    */
+  private[engine] final case class Block[S, M](
+      states: Array[S],
+      changed: Array[Boolean],
+      lastChanged: Array[Int],
+      outbox: Array[(Long, M)],
+      counts: RoundCounts
+  )
 
   def run[C: ClassTag, S: ClassTag, M: ClassTag](
       vertices: RDD[(Long, C)],
@@ -106,94 +140,75 @@ object SuperstepEngine {
       maxRounds: Int = 5000,
       onRoundEnd: (Int, RDD[(Long, S)]) => Unit = (_: Int, _: RDD[(Long, S)]) => ()
   ): RunResult[S] = {
-    val (part, localDelivery, blockOf) = mode match {
-      case VertexCentric(p)     => (new HashPartitioner(p): Partitioner, false, (_: Long) => -1)
-      case BlockCentric(a, b)   => (BlockPartitioner(a, b): Partitioner, true, a)
+    val (part, localDelivery) = mode match {
+      case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
+      case BlockCentric(a, b) => (BlockPartitioner(a, b): Partitioner, true)
     }
     val selfWake = program.selfWake
 
-    var state: RDD[(Long, VR[C, S])] = vertices.partitionBy(part).mapPartitions(
-      _.map { case (vid, ctx) =>
-        val s = program.initialState(vid, ctx)
-        (vid, VR(ctx, s, changed = false, lastChanged = 0))
-      },
+    // The context keeps `part` so the zipped states RDD reports it and joins
+    // on a run's result stay narrow on that side. The round-0 job below
+    // materialises it, and the checkpoint then drops the input's lineage.
+    val context: RDD[(Array[Long], Array[C])] = vertices.partitionBy(part).mapPartitions(
+      it => Iterator(it.toArray.sortBy(_._1).unzip),
       preservesPartitioning = true
     )
-    state.persist(StorageLevel.MEMORY_AND_DISK)
-    val nVertices = state.count()
+    context.localCheckpoint()
 
-    var msgs: RDD[(Long, M)] = state.flatMap { case (vid, vr) => program.initialMessages(vid, vr.ctx, vr.state) }
-    // Initial broadcast accounting (round 0): in block-centric mode only the
-    // messages that cross a block boundary are communication.
-    val initCounts: (Long, Long) =
-      if (!localDelivery) (msgs.count(), 0L)
-      else
-        state
-          .flatMap { case (vid, vr) => program.initialMessages(vid, vr.ctx, vr.state).map { case (t, _) => (vid, t) } }
-          .map { case (srcV, t) => if (part.getPartition(srcV) == part.getPartition(t)) (0L, 1L) else (1L, 0L) }
-          .fold((0L, 0L)) { case ((a1, b1), (a2, b2)) => (a1 + a2, b1 + b2) }
+    def statesOf(blocks: RDD[Block[S, M]]): RDD[(Long, S)] =
+      context.zipPartitions(blocks, preservesPartitioning = true) { (cs, bs) =>
+        cs.next()._1.iterator.zip(bs.next().states.iterator)
+      }
+
+    // Round 0: initial states and the initial broadcast. In block-centric
+    // mode only the messages that cross a block boundary are communication.
+    var blocks: RDD[Block[S, M]] = context.mapPartitionsWithIndex { (pid, cs) =>
+      val (vids, ctxs) = cs.next()
+      val states = Array.tabulate(vids.length)(i => program.initialState(vids(i), ctxs(i)))
+      val outbox = vids.indices.iterator.flatMap(i => program.initialMessages(vids(i), ctxs(i), states(i))).toArray
+      val local = if (localDelivery) outbox.count { case (t, _) => part.getPartition(t) == pid }.toLong else 0L
+      val hist = if (vids.isEmpty) Map.empty[Int, Long] else Map(0 -> vids.length.toLong)
+      Iterator(Block(states, new Array[Boolean](vids.length), new Array[Int](vids.length), outbox,
+        RoundCounts(outbox.length - local, local, 0L, 0L, hist)))
+    }.persist(StorageLevel.MEMORY_AND_DISK)
+    val init = blocks.map(_.counts).reduce(_ + _)
+    val nVertices = init.lastChangedHist.values.sum
 
     val remotePerRound = Vector.newBuilder[Long]
     val localPerRound  = Vector.newBuilder[Long]
     val changedPerRound = Vector.newBuilder[Long]
-    remotePerRound += initCounts._1
-    localPerRound += initCounts._2
+    remotePerRound += init.remote
+    localPerRound += init.local
 
-    var pendingMsgs = initCounts._1 + initCounts._2
-    var pendingChanged = 0L
+    var last = init
+    var pendingMsgs = init.remote + init.local
     var round = 0
-    var prevStepped: RDD[_] = null
-    var prevSteppedCheckpointed = false
-    var prevState: RDD[_] = state
     // Vertex-centric selfWake vertices that changed re-run next round even
     // without messages; block-centric mode settles them inside the round.
-    def pending: Boolean = pendingMsgs > 0 || (selfWake && !localDelivery && pendingChanged > 0)
+    def pending: Boolean = pendingMsgs > 0 || (selfWake && !localDelivery && last.settling > 0)
 
     while (round < maxRounds && pending) {
       round += 1
       val r = round
-      val grouped = state.cogroup(msgs, part)
-      val stepped = grouped
-        .mapPartitionsWithIndex(
-          { (pid, it) => stepPartition(pid, r, it, program, localDelivery, part, selfWake) },
-          preservesPartitioning = true
-        )
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      // Truncate lineage periodically or the round-over-round RDD chain
-      // overflows the stack; checkpointed RDDs must never be unpersisted
-      // (their lineage is gone — the blocks ARE the data).
-      val checkpointNow = round % 25 == 0
-      if (checkpointNow) stepped.localCheckpoint()
+      val inbox = blocks.flatMap(_.outbox.iterator).partitionBy(part)
+      val next = context.zipPartitions(blocks, inbox) { (cs, bs, ms) =>
+        val (vids, ctxs) = cs.next()
+        Iterator(stepBlock(r, TaskContext.getPartitionId(), vids, ctxs, bs.next(), ms, program, localDelivery, maxRounds))
+      }
+      // The checkpoint replaces the record's lineage once this round's job
+      // has materialised it; only then may the previous record go.
+      next.localCheckpoint()
+      last = next.map(_.counts).reduce(_ + _)
+      blocks.unpersist(blocking = false)
+      blocks = next
 
-      val (remote, local, changedNow, changedFlags) = stepped
-        .map { case (_, (vr, out, localSent)) =>
-          (out.length.toLong, localSent, if (vr.lastChanged == r) 1L else 0L, if (vr.changed) 1L else 0L)
-        }
-        .fold((0L, 0L, 0L, 0L)) { case ((a1, b1, c1, d1), (a2, b2, c2, d2)) => (a1 + a2, b1 + b2, c1 + c2, d1 + d2) }
-
-      remotePerRound += remote
-      localPerRound += local
-      changedPerRound += changedNow
-      pendingMsgs = remote
-      pendingChanged = changedFlags
-
-      val newState = stepped.mapValues(_._1)
-      val newMsgs: RDD[(Long, M)] = stepped.flatMap { case (_, (_, out, _)) => out.iterator }
-
-      if (prevStepped != null && !prevSteppedCheckpointed) prevStepped.unpersist(blocking = false)
-      if (prevState != null && !(prevState eq stepped)) prevState.unpersist(blocking = false)
-      prevStepped = stepped
-      prevSteppedCheckpointed = checkpointNow
-      prevState = null
-      state = newState
-      msgs = newMsgs
-      onRoundEnd(round, state.mapValues(_.state))
+      remotePerRound += last.remote
+      localPerRound += last.local
+      changedPerRound += last.changed
+      pendingMsgs = last.remote
+      onRoundEnd(round, statesOf(blocks))
     }
     require(!pending, s"engine did not converge within $maxRounds rounds")
-
-    val finalStates = state.mapValues(_.state).persist(StorageLevel.MEMORY_AND_DISK)
-    finalStates.count()
-    val hist: Map[Int, Long] = state.map(_._2.lastChanged).countByValue().map { case (k, v) => (k, v) }.toMap
 
     val metrics = EngineMetrics(
       mode.name,
@@ -202,71 +217,74 @@ object SuperstepEngine {
       localPerRound.result(),
       changedPerRound.result(),
       nVertices,
-      hist
+      last.lastChangedHist
     )
-    RunResult(finalStates, metrics)
+    RunResult(statesOf(blocks), metrics)
   }
 
-  /** Run the vertex program for one superstep within a partition. In
-    * block-centric mode, iterate to local convergence: messages whose target
-    * lives in the same block are delivered to the next *sub-iteration*
-    * rather than the next round.
+  /** One superstep of one block, without Spark: deliver `inbox` (messages
+    * keyed by target vertex) and run the vertex program on every vertex that
+    * received a message or, with `selfWake`, is still settling. In
+    * block-centric mode (`localDelivery`), messages to a vertex of the same
+    * block are delivered to the next *sub-iteration* rather than the next
+    * round, until the block settles; every other message goes to the outbox.
     */
-  private def stepPartition[C, S, M](
-      pid: Int,
+  private[engine] def stepBlock[C, S, M](
       round: Int,
-      it: Iterator[(Long, (Iterable[VR[C, S]], Iterable[M]))],
+      block: Int,
+      vids: Array[Long],
+      ctxs: Array[C],
+      prev: Block[S, M],
+      inbox: Iterator[(Long, M)],
       program: VertexProgram[C, S, M],
       localDelivery: Boolean,
-      part: Partitioner,
-      selfWake: Boolean
-  ): Iterator[(Long, (VR[C, S], Array[(Long, M)], Long))] = {
-    val verts = mutable.LinkedHashMap.empty[Long, VR[C, S]]
-    var inbox = mutable.HashMap.empty[Long, mutable.ArrayBuffer[M]]
-    it.foreach { case (vid, (vrs, ms)) =>
-      require(vrs.nonEmpty, s"round $round: message sent to unknown vertex $vid")
-      verts(vid) = vrs.head
-      if (ms.nonEmpty) inbox.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) ++= ms
-    }
-    val remoteOut = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, M)]]
-    val localSent = mutable.HashMap.empty[Long, Long]
+      maxRounds: Int
+  ): Block[S, M] = {
+    val n = vids.length
+    val states = prev.states.clone()
+    val changed = prev.changed.clone()
+    val lastChanged = prev.lastChanged.clone()
+    val outbox = mutable.ArrayBuffer.empty[(Long, M)]
+    var local = 0L
 
-    var active: Iterable[Long] =
-      verts.iterator.collect {
-        case (vid, vr) if inbox.contains(vid) || (selfWake && vr.changed) => vid
-      }.toVector
+    var msgs = new Array[mutable.ArrayBuffer[M]](n)
+    inbox.foreach { case (t, m) =>
+      val i = java.util.Arrays.binarySearch(vids, t)
+      require(i >= 0, s"round $round: message sent to unknown vertex $t")
+      if (msgs(i) == null) msgs(i) = mutable.ArrayBuffer.empty
+      msgs(i) += m
+    }
+    // A vertex runs when it has mail or, with `selfWake`, changed last time
+    // it ran; block-centric mode re-applies the rule every sub-iteration.
+    def wanted(i: Int): Boolean = msgs(i) != null || (program.selfWake && changed(i))
+    var active = (0 until n).filter(wanted)
 
     var subIter = 0
     while (active.nonEmpty) {
       subIter += 1
-      val nextInbox = mutable.HashMap.empty[Long, mutable.ArrayBuffer[M]]
-      val nextActive = mutable.LinkedHashSet.empty[Long]
-      for (vid <- active) {
-        val vr = verts(vid)
-        val ms = inbox.getOrElse(vid, mutable.ArrayBuffer.empty[M]).toSeq
-        val (s2, out, ch) = program.compute(vid, vr.ctx, vr.state, ms)
-        verts(vid) = VR(vr.ctx, s2, ch, if (ch) round else vr.lastChanged)
-        out.foreach { case (tgt, m) =>
-          if (localDelivery && part.getPartition(tgt) == pid && verts.contains(tgt)) {
-            nextInbox.getOrElseUpdate(tgt, mutable.ArrayBuffer.empty) += m
-            localSent(vid) = localSent.getOrElse(vid, 0L) + 1L
-            nextActive += tgt
-          } else {
-            remoteOut.getOrElseUpdate(vid, mutable.ArrayBuffer.empty) += ((tgt, m))
-          }
+      require(subIter <= maxRounds, s"round $round: block $block did not settle within $maxRounds local sub-iterations")
+      val nextMsgs = new Array[mutable.ArrayBuffer[M]](n)
+      for (i <- active) {
+        val ms = if (msgs(i) == null) Nil else msgs(i).toSeq
+        val (s2, out, ch) = program.compute(vids(i), ctxs(i), states(i), ms)
+        states(i) = s2
+        changed(i) = ch
+        if (ch) lastChanged(i) = round
+        out.foreach { case (t, m) =>
+          val j = if (localDelivery) java.util.Arrays.binarySearch(vids, t) else -1
+          if (j >= 0) {
+            if (nextMsgs(j) == null) nextMsgs(j) = mutable.ArrayBuffer.empty
+            nextMsgs(j) += m
+            local += 1
+          } else outbox += ((t, m))
         }
-        if (localDelivery && selfWake && ch) nextActive += vid
       }
-      if (!localDelivery) {
-        active = Nil
-      } else {
-        inbox = nextInbox
-        active = nextActive.toVector
-      }
+      msgs = nextMsgs
+      active = if (localDelivery) (0 until n).filter(wanted) else IndexedSeq.empty
     }
 
-    verts.iterator.map { case (vid, vr) =>
-      (vid, (vr, remoteOut.getOrElse(vid, mutable.ArrayBuffer.empty).toArray, localSent.getOrElse(vid, 0L)))
-    }
+    val hist = lastChanged.groupMapReduce(identity)(_ => 1L)(_ + _)
+    Block(states, changed, lastChanged, outbox.toArray,
+      RoundCounts(outbox.length.toLong, local, lastChanged.count(_ == round).toLong, changed.count(identity).toLong, hist))
   }
 }

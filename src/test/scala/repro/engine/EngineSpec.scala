@@ -1,8 +1,13 @@
 package repro.engine
 
+import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 
+import scala.collection.mutable
+import scala.reflect.ClassTag
+
 import repro.SparkSpec
+import repro.core.HIndexProgram
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
 
 /** Engine-semantics tests using two tiny programs: weakly-connected min-label
@@ -32,7 +37,7 @@ object TestPrograms {
     def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] =
       a.distinctNeighbors.iterator.map(t => (t, 0))
     def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
-      if (s > a.deg) (s - 1, Iterator.empty, true) else (s, Iterator.empty, false)
+      if (s > a.inDeg + a.outDeg) (s - 1, Iterator.empty, true) else (s, Iterator.empty, false)
   }
 
   /** Every vertex addresses its initial message to `Stray`, an id outside
@@ -44,6 +49,17 @@ object TestPrograms {
     def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] = Iterator((Stray, 1))
     def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
       (s, Iterator.empty, false)
+  }
+
+  /** Every activation changes the vertex and messages all its neighbours,
+    * so neighbours in one block keep waking each other and never settle.
+    */
+  object PingPong extends VertexProgram[VertexAdj, Int, Int] {
+    def initialState(vid: Long, a: VertexAdj): Int = 0
+    def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] =
+      a.distinctNeighbors.iterator.map(t => (t, s))
+    def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
+      (s + 1, a.distinctNeighbors.iterator.map(t => (t, s + 1)), true)
   }
 }
 
@@ -204,12 +220,79 @@ class EngineSpec extends SparkSpec {
     assert(snaps.last == Map(1L -> 1L, 2L -> 1L, 3L -> 1L, 4L -> 1L))
   }
 
+  /** Per-round accounting of one run: remote, local and changed counts per
+    * round, then the last-changed histogram.
+    */
+  private def accounting(m: EngineMetrics): String =
+    Seq(m.remoteMsgsPerRound, m.localMsgsPerRound, m.changedPerRound).map(_.mkString(",")).mkString(" | ") +
+      " | " + m.lastChangedHist.toSeq.sorted.map { case (r, n) => s"$r:$n" }.mkString(",")
+
+  private def accountingOf[S: ClassTag, M: ClassTag](edges: Seq[(Long, Long)], p: VertexProgram[VertexAdj, S, M], mode: EngineMode) =
+    accounting(SuperstepEngine.run(adjOf(edges), p, mode).metrics)
+
+  test("per-round accounting matches the pinned values") {
+    // remote per round | local per round | changed per round | last-changed
+    // histogram, one line per program, mode and graph.
+    val expected = Map(
+      "MinLabel/vertex-centric/seed=21" -> "286,230,225,187,53,2,0 | 0,0,0,0,0,0,0 | 46,47,41,15,1,0 | 0:1,1:4,2:14,3:26,4:14,5:1",
+      "Countdown/vertex-centric/seed=21" -> "286,0,0,0,0,0,0,0,0,0,0,0,0 | 0,0,0,0,0,0,0,0,0,0,0,0,0 | 60,60,59,56,53,48,40,26,11,6,1,0 | 2:1,3:3,4:3,5:5,6:8,7:14,8:15,9:5,10:5,11:1",
+      "HIndexIn/vertex-centric/seed=21" -> "150,89,34,27,18,4,4,0 | 0,0,0,0,0,0,0,0 | 38,18,9,7,2,2,0 | 0:14,1:13,2:13,3:9,4:7,5:2,6:2",
+      "MinLabel/block-centric/seed=21" -> "216,283,203,66,0 | 70,116,69,20,0 | 54,51,21,0 | 0:1,1:8,2:30,3:21",
+      "Countdown/block-centric/seed=21" -> "216,0 | 70,0 | 60 | 1:60",
+      "HIndexIn/block-centric/seed=21" -> "112,73,29,26,4,0 | 38,23,10,6,5,0 | 40,18,12,4,0 | 0:14,1:14,2:16,3:12,4:4",
+      "MinLabel/vertex-centric/seed=22" -> "296,242,230,174,35,0 | 0,0,0,0,0,0 | 48,47,35,11,0 | 0:1,1:5,2:17,3:26,4:11",
+      "Countdown/vertex-centric/seed=22" -> "296,0,0,0,0,0,0,0,0,0,0,0,0 | 0,0,0,0,0,0,0,0,0,0,0,0,0 | 60,60,60,58,54,49,36,22,12,7,2,0 | 3:2,4:4,5:5,6:13,7:14,8:10,9:5,10:5,11:2",
+      "HIndexIn/vertex-centric/seed=22" -> "150,92,28,18,18,23,10,0 | 0,0,0,0,0,0,0,0 | 38,12,9,7,9,4,0 | 0:9,1:13,2:9,3:9,4:7,5:9,6:4",
+      "MinLabel/block-centric/seed=22" -> "226,347,147,11,0 | 70,118,33,0,0 | 55,36,5,0 | 0:1,1:22,2:32,3:5",
+      "Countdown/block-centric/seed=22" -> "226,0 | 70,0 | 60 | 1:60",
+      "HIndexIn/block-centric/seed=22" -> "115,74,22,21,19,8,0 | 35,26,4,8,4,3,0 | 41,9,13,9,5,0 | 0:9,1:16,2:8,3:13,4:9,5:5"
+    )
+    val got = for {
+      seed <- Seq(21, 22)
+      edges = GraphGen.randomLocalEdges(60, 150, seed)
+      mode <- Seq(VertexCentric(4), blockMode(4))
+      (name, acc) <- Seq(
+        "MinLabel" -> accountingOf(edges, MinLabel, mode),
+        "Countdown" -> accountingOf(edges, new Countdown(12, wake = true), mode),
+        "HIndexIn" -> accountingOf(edges, HIndexProgram(HIndexProgram.In), mode)
+      )
+    } yield (s"$name/${mode.name}/seed=$seed", acc)
+    assert(got.map(_._1).toSet == expected.keySet)
+    got.foreach { case (k, v) => assert(v == expected(k), k) }
+  }
+
   test("long chains converge (lineage/checkpoint robustness)") {
-    // 120-vertex path: min-label needs >100 rounds vertex-centrically —
-    // crosses the localCheckpoint interval several times.
+    // 120-vertex path: min-label needs >100 rounds vertex-centrically; each
+    // round's record is local-checkpointed, so no task carries the chain.
     val chain = (0L until 120L).sliding(2).map(s => (s(1), s(0))).toSeq
     val r = SuperstepEngine.run(adjOf(chain), MinLabel, VertexCentric(3))
     assert(r.metrics.rounds > 100)
     assert(r.states.collect().toMap.values.forall(_ == 0L))
+  }
+
+  /** Distinct RDDs reachable from `rdd` through its dependencies. */
+  private def lineageSize(rdd: RDD[_]): Int = {
+    val seen = mutable.Set.empty[Int]
+    def visit(r: RDD[_]): Unit = if (seen.add(r.id)) r.dependencies.foreach(d => visit(d.rdd))
+    visit(rdd)
+    seen.size
+  }
+
+  test("the result's lineage stays bounded however many rounds run") {
+    def path(n: Long) = (0L until n).sliding(2).map(s => (s(1), s(0))).toSeq
+    val long = SuperstepEngine.run(adjOf(path(120)), MinLabel, VertexCentric(3))
+    val short = SuperstepEngine.run(adjOf(path(12)), MinLabel, VertexCentric(3))
+    assert(long.metrics.rounds > 100 && short.metrics.rounds >= 10)
+    for (r <- Seq(long, short)) {
+      val size = lineageSize(r.states)
+      assert(size < 10, s"${r.metrics.rounds} rounds: $size RDDs in the lineage")
+    }
+  }
+
+  test("the block-local loop fails once a round's sub-iterations exceed maxRounds") {
+    val e = intercept[SparkException] {
+      SuperstepEngine.run(adjOf(Seq((1L, 2L))), PingPong, BlockCentric(_ => 0, 1), maxRounds = 20)
+    }
+    assert(e.getMessage.contains("round 1: block 0 did not settle within 20 local sub-iterations"), e.getMessage)
   }
 }
