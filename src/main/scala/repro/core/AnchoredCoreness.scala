@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
+import scala.collection.mutable
+
 import repro.engine._
 
 /** Directional n-order H-index fixpoint (Defs. 4.2/4.3, Alg. 2).
@@ -10,41 +12,24 @@ import repro.engine._
   * For `Direction.In`: value starts at the in-degree, feeders are the
   * in-neighbors and updates are pushed to out-neighbors; the fixpoint is
   * kmax(v) (Thm. 4.1). For `Direction.Out` the roles flip and the fixpoint
-  * is lmax(v) = max{l : v in (0,l)-core} (Thm. 5.2).
+  * is lmax(v) = max{l : v in (0,l)-core} (Thm. 5.2). Only the feeders' side
+  * of the neighbour table is kept.
   */
 object HIndexProgram {
   sealed trait Direction
   case object In extends Direction
   case object Out extends Direction
 
-  final case class HState(value: Int, feederVals: Map[Long, Int])
+  def apply(dir: Direction): VertexProgram[VertexAdj, NeighbourFixpoint.State[Int], (Long, Int)] =
+    new NeighbourFixpoint[VertexAdj, Int] {
+      def inN(a: VertexAdj): Array[Long] = if (dir == In) a.inN else Array.emptyLongArray
+      def outN(a: VertexAdj): Array[Long] = if (dir == Out) a.outN else Array.emptyLongArray
+      def receivers(a: VertexAdj): Array[Long] = if (dir == In) a.outN else a.inN
+      def init(vid: Long, a: VertexAdj): Int = if (dir == In) a.inDeg else a.outDeg
 
-  def apply(dir: Direction): VertexProgram[VertexAdj, HState, (Long, Int)] =
-    new VertexProgram[VertexAdj, HState, (Long, Int)] {
-      private def feeders(a: VertexAdj): Array[Long] = dir match {
-        case In  => a.inN
-        case Out => a.outN
-      }
-      private def receivers(a: VertexAdj): Array[Long] = dir match {
-        case In  => a.outN
-        case Out => a.inN
-      }
-
-      def initialState(vid: Long, a: VertexAdj): HState =
-        HState(feeders(a).length, Map.empty)
-
-      def initialMessages(vid: Long, a: VertexAdj, s: HState): Iterator[(Long, (Long, Int))] =
-        receivers(a).iterator.map(t => (t, (vid, s.value)))
-
-      def compute(vid: Long, a: VertexAdj, s: HState, msgs: Seq[(Long, Int)]): (HState, Iterator[(Long, (Long, Int))], Boolean) = {
-        val fv = s.feederVals ++ msgs
-        val h = HIndex.hIndex(feeders(a).iterator.map(u => fv.getOrElse(u, 0)).toSeq)
-        val v2 = math.min(s.value, h)
-        val changed = v2 < s.value
-        val out =
-          if (changed) receivers(a).iterator.map(t => (t, (vid, v2)))
-          else Iterator.empty
-        (HState(v2, fv), out, changed)
+      def update(a: VertexAdj, value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
+        val h = HIndex.hIndex(if (dir == In) in else out)
+        if (h < value) Some(h) else None
       }
     }
 }
@@ -55,43 +40,30 @@ object HIndexProgram {
   */
 object AnchoredCoreness {
 
-  /** Adjacency enriched with each neighbor's kmax — what Phases II/III see. */
-  final case class AdjK(inN: Array[(Long, Int)], outN: Array[(Long, Int)], kmax: Int)
-
-  final case class Phase2State(oh: Array[Int], nbr: Map[Long, Array[Int]])
-  final case class Phase3State(l: Array[Int], nbr: Map[Long, Array[Int]])
+  /** Adjacency enriched with each neighbor's kmax — what Phases II/III see.
+    * `inK(i)` is the kmax of `adj.inN(i)`, `outK(i)` that of `adj.outN(i)`.
+    */
+  final case class AdjK(adj: VertexAdj, inK: Array[Int], outK: Array[Int], kmax: Int)
 
   /** Phase II (Alg. 3): batch n-order out-H-index on every G[k],
     * k in [0, kmax(v)]. Following the paper's own Table-1 trace, the 0-order
     * value is the out-degree in G (an upper bound of the G[k] out-degree;
     * both initialisations share the fixpoint — DESIGN.md §7).
     */
-  private object Phase2Program extends VertexProgram[AdjK, Phase2State, (Long, Array[Int])] {
-    def initialState(vid: Long, a: AdjK): Phase2State =
-      Phase2State(Array.fill(a.kmax + 1)(a.outN.length), Map.empty)
+  private object Phase2Program extends NeighbourFixpoint[AdjK, Array[Int]] {
+    def inN(a: AdjK): Array[Long] = Array.emptyLongArray
+    def outN(a: AdjK): Array[Long] = a.adj.outN
+    def receivers(a: AdjK): Array[Long] = a.adj.inN
+    def init(vid: Long, a: AdjK): Array[Int] = Array.fill(a.kmax + 1)(a.adj.outDeg)
 
-    def initialMessages(vid: Long, a: AdjK, s: Phase2State): Iterator[(Long, (Long, Array[Int]))] =
-      a.inN.iterator.map { case (t, _) => (t, (vid, s.oh)) }
-
-    def compute(vid: Long, a: AdjK, s: Phase2State, msgs: Seq[(Long, Array[Int])]): (Phase2State, Iterator[(Long, (Long, Array[Int]))], Boolean) = {
-      val nbr = s.nbr ++ msgs
-      val oh2 = new Array[Int](a.kmax + 1)
-      var changed = false
-      var k = 0
-      while (k <= a.kmax) {
-        // Out-neighbors still in G[k] (their kmax >= k) feed the H-index.
-        val vals = a.outN.iterator.collect {
-          case (u, ku) if ku >= k => nbr.get(u).map(arr => arr(math.min(k, arr.length - 1))).getOrElse(Int.MaxValue)
-        }.toSeq
-        val h = HIndex.hIndex(vals.map(v => if (v == Int.MaxValue) a.outN.length else v))
-        oh2(k) = math.min(s.oh(k), h)
-        if (oh2(k) < s.oh(k)) changed = true
-        k += 1
+    def update(a: AdjK, oh: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
+      val oh2 = Array.tabulate(a.kmax + 1) { k =>
+        // Out-neighbors still in G[k] (their kmax >= k) feed the H-index;
+        // their arrays run to their kmax, so they hold an entry for k.
+        val h = HIndex.hIndex(out.indices.collect { case j if a.outK(j) >= k => out(j)(k) })
+        math.min(oh(k), h)
       }
-      val out =
-        if (changed) a.inN.iterator.map { case (t, _) => (t, (vid, oh2)) }
-        else Iterator.empty
-      (Phase2State(oh2, nbr), out, changed)
+      if (oh2.sameElements(oh)) None else Some(oh2)
     }
   }
 
@@ -101,46 +73,34 @@ object AnchoredCoreness {
     * the condition depends on v's own bound: one decrement may expose the
     * need for another even with no new inbound messages.
     */
-  private object Phase3Program extends VertexProgram[(AdjK, Array[Int]), Phase3State, (Long, Array[Int])] {
+  private object Phase3Program extends NeighbourFixpoint[(AdjK, Array[Int]), Array[Int]] {
     override def selfWake: Boolean = true
 
-    def initialState(vid: Long, c: (AdjK, Array[Int])): Phase3State =
-      Phase3State(c._2.clone(), Map.empty)
+    def inN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.inN
+    def outN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.outN
+    def receivers(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
+    def init(vid: Long, c: (AdjK, Array[Int])): Array[Int] = c._2
 
-    private def targets(a: AdjK): Iterator[Long] =
-      (a.inN.iterator.map(_._1) ++ a.outN.iterator.map(_._1)).toSet.iterator
-
-    def initialMessages(vid: Long, c: (AdjK, Array[Int]), s: Phase3State): Iterator[(Long, (Long, Array[Int]))] =
-      targets(c._1).map(t => (t, (vid, s.l)))
-
-    def compute(vid: Long, c: (AdjK, Array[Int]), s: Phase3State, msgs: Seq[(Long, Array[Int])]): (Phase3State, Iterator[(Long, (Long, Array[Int]))], Boolean) = {
-      val a = c._1
-      val nbr = s.nbr ++ msgs
-      val l2 = s.l.clone()
-      var changed = false
-      var k = 0
-      while (k <= a.kmax) {
-        if (l2(k) > 0) {
-          val threshold = l2(k)
-          var cntIn = 0
-          a.inN.foreach { case (u, ku) =>
-            if (ku >= k && nbr.get(u).exists(arr => k < arr.length && arr(k) >= threshold)) cntIn += 1
-          }
-          var cntOut = 0
-          a.outN.foreach { case (u, ku) =>
-            if (ku >= k && nbr.get(u).exists(arr => k < arr.length && arr(k) >= threshold)) cntOut += 1
-          }
-          if (cntIn < k || cntOut < threshold) {
-            l2(k) = threshold - 1
-            changed = true
-          }
-        }
-        k += 1
+    /** Neighbors in G[k] (kmax >= k, so their arrays hold an entry for k)
+      * whose bound at k is at least `threshold`.
+      */
+    private def support(bounds: Array[Array[Int]], ks: Array[Int], k: Int, threshold: Int): Int = {
+      var c = 0
+      var j = 0
+      while (j < bounds.length) {
+        if (ks(j) >= k && bounds(j)(k) >= threshold) c += 1
+        j += 1
       }
-      val out =
-        if (changed) targets(a).map(t => (t, (vid, l2)))
-        else Iterator.empty
-      (Phase3State(l2, nbr), out, changed)
+      c
+    }
+
+    def update(c: (AdjK, Array[Int]), l: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
+      val a = c._1
+      val l2 = Array.tabulate(l.length) { k =>
+        val t = l(k)
+        if (t > 0 && (support(in, a.inK, k, t) < k || support(out, a.outK, k, t) < t)) t - 1 else t
+      }
+      if (l2.sameElements(l)) None else Some(l2)
     }
   }
 
@@ -180,6 +140,8 @@ object AnchoredCoreness {
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
     val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
     val tracing = traceSink.isDefined
+    def record[V](into: mutable.Builder[Map[Long, V], _])(round: Int, st: RDD[(Long, NeighbourFixpoint.State[V])]): Unit =
+      if (tracing) into += st.mapValues(_.value).collect().toMap
 
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.
     val p1 = SuperstepEngine.run(
@@ -187,8 +149,7 @@ object AnchoredCoreness {
       HIndexProgram(HIndexProgram.In),
       mode,
       maxRounds,
-      onRoundEnd = (_: Int, st: RDD[(Long, HIndexProgram.HState)]) =>
-        if (tracing) t1 += st.mapValues(_.value).collect().toMap
+      onRoundEnd = record(t1) _
     )
     val kmaxRDD = p1.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
 
@@ -202,16 +163,16 @@ object AnchoredCoreness {
       .groupByKey(adj.getNumPartitions)
       .join(kmaxRDD)
       .mapValues { case (entries, ownK) =>
-        val in  = entries.iterator.collect { case (u, 0, ku) => (u, ku) }.toArray.sortBy(_._1)
-        val out = entries.iterator.collect { case (u, 1, ku) => (u, ku) }.toArray.sortBy(_._1)
-        AdjK(in, out, ownK)
+        val (in, inK)   = entries.iterator.collect { case (u, 0, ku) => (u, ku) }.toArray.sortBy(_._1).unzip
+        val (out, outK) = entries.iterator.collect { case (u, 1, ku) => (u, ku) }.toArray.sortBy(_._1).unzip
+        AdjK(VertexAdj(in, out), inK, outK, ownK)
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
     val setupMessages: Long = mode match {
       case VertexCentric(_) => 2L * g.numEdges
-      case BlockCentric(assign, _) =>
+      case b: BlockCentric =>
         import g.edges.sparkSession.implicits._
-        2L * g.edges.as[(Long, Long)].rdd.filter { case (s, d) => assign(s) != assign(d) }.count()
+        2L * g.edges.as[(Long, Long)].rdd.filter { case (s, d) => b.block(s) != b.block(d) }.count()
     }
 
     // ---- Phase II: upper bounds lupp(k, v).
@@ -220,10 +181,9 @@ object AnchoredCoreness {
       Phase2Program,
       mode,
       maxRounds,
-      onRoundEnd = (_: Int, st: RDD[(Long, Phase2State)]) =>
-        if (tracing) t2 += st.mapValues(_.oh).collect().toMap
+      onRoundEnd = record(t2) _
     )
-    val lupp = p2.states.mapValues(_.oh).persist(StorageLevel.MEMORY_AND_DISK)
+    val lupp = p2.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- Phase III: refine to exact lmax(k, v).
     val ctx3 = adjK.join(lupp)
@@ -232,10 +192,9 @@ object AnchoredCoreness {
       Phase3Program,
       mode,
       maxRounds,
-      onRoundEnd = (_: Int, st: RDD[(Long, Phase3State)]) =>
-        if (tracing) t3 += st.mapValues(_.l).collect().toMap
+      onRoundEnd = record(t3) _
     )
-    val lmax = p3.states.mapValues(_.l).persist(StorageLevel.MEMORY_AND_DISK)
+    val lmax = p3.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
     lmax.count()
 
     traceSink.foreach(sink => sink(Trace(t1.result(), t2.result(), t3.result())))

@@ -1,7 +1,7 @@
 package repro.core
 
 /** Pure combinatorial primitives shared by both decomposition algorithms:
-  * the classic H-index, the paper's dominance operators (Def. 5.1), the
+  * the classic H-index, the skyline under the paper's dominance (Def. 5.1), the
   * two-dimensional D-index (Def. 5.3), and a staircase representation of
   * skyline (non-dominated) pair sets used for O(log s) dominance queries
   * (Optimization-1/2 of Sec. 5.3).
@@ -24,16 +24,10 @@ object HIndex {
 
 }
 
-/** Dominance operators over coreness pairs (Def. 5.1).
-  *
-  * `(k',l') <= (k,l)` iff k' <= k and l' <= l ("dominates or identical").
-  * `(k',l') <  (k,l)` iff (k,l) dominates (k',l') strictly in at least one
-  * coordinate and weakly in the other.
+/** Dominance over coreness pairs (Def. 5.1): `(k',l') <= (k,l)` iff
+  * k' <= k and l' <= l.
   */
 object Dominance {
-  @inline def leq(k1: Int, l1: Int, k2: Int, l2: Int): Boolean = k1 <= k2 && l1 <= l2
-  @inline def lt(k1: Int, l1: Int, k2: Int, l2: Int): Boolean =
-    (k1 < k2 && l1 <= l2) || (k1 <= k2 && l1 < l2)
 
   /** Reduce an arbitrary pair set to its skyline (maximal non-dominated
     * pairs), sorted by k descending (so l is strictly ascending).
@@ -78,7 +72,6 @@ final case class SkylineSet(pairs: Vector[(Int, Int)]) {
 }
 
 object SkylineSet {
-  val empty: SkylineSet = SkylineSet(Vector.empty)
   def of(pairs: Iterable[(Int, Int)]): SkylineSet = SkylineSet(Dominance.skyline(pairs))
 }
 

@@ -18,7 +18,6 @@ final class LocalGraph private (
   def outDeg(i: Int): Int = outN(i).length
   def maxInDeg: Int  = if (n == 0) 0 else (0 until n).map(inDeg).max
   def maxOutDeg: Int = if (n == 0) 0 else (0 until n).map(outDeg).max
-  def maxDeg: Int    = if (n == 0) 0 else (0 until n).map(i => inDeg(i) + outDeg(i)).max
 
   /** Original-id edge list (deduped, loop-free). */
   def edges: Seq[(Long, Long)] =

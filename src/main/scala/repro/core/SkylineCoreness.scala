@@ -24,31 +24,20 @@ import repro.engine._
 object SkylineCoreness {
 
   /** Context: adjacency plus the tight initial pair (Opt-3). */
-  final case class SCCtx(inN: Array[Long], outN: Array[Long], k0: Int, l0: Int)
+  final case class SCCtx(adj: VertexAdj, k0: Int, l0: Int)
 
-  final case class SCState(d: Vector[(Int, Int)], nbr: Map[Long, SkylineSet])
+  /** Alg. 5: each vertex's value is its D-index as a `SkylineSet`, so a
+    * neighbour's staircase is built once, by the neighbour.
+    */
+  private object SCProgram extends NeighbourFixpoint[SCCtx, SkylineSet] {
+    def inN(c: SCCtx): Array[Long] = c.adj.inN
+    def outN(c: SCCtx): Array[Long] = c.adj.outN
+    def receivers(c: SCCtx): Array[Long] = c.adj.distinctNeighbors
+    def init(vid: Long, c: SCCtx): SkylineSet = SkylineSet(Vector((c.k0, c.l0)))
 
-  type Msg = (Long, Vector[(Int, Int)])
-
-  private object SCProgram extends VertexProgram[SCCtx, SCState, Msg] {
-    def initialState(vid: Long, c: SCCtx): SCState =
-      SCState(Vector((c.k0, c.l0)), Map.empty)
-
-    private def targets(c: SCCtx): Iterator[Long] =
-      (c.inN.iterator ++ c.outN.iterator).toSet.iterator
-
-    def initialMessages(vid: Long, c: SCCtx, s: SCState): Iterator[(Long, Msg)] =
-      targets(c).map(t => (t, (vid, s.d)))
-
-    def compute(vid: Long, c: SCCtx, s: SCState, msgs: Seq[Msg]): (SCState, Iterator[(Long, Msg)], Boolean) = {
-      val nbr = s.nbr ++ msgs.iterator.map { case (u, pairs) => (u, SkylineSet(pairs)) }
-      def skylines(ids: Array[Long]): Array[SkylineSet] = ids.map(u => nbr.getOrElse(u, SkylineSet.empty))
-      val d2 = DIndex(skylines(c.inN), skylines(c.outN))
-      val changed = d2 != s.d
-      val out =
-        if (changed) targets(c).map(t => (t, (vid, d2)))
-        else Iterator.empty
-      (SCState(d2, nbr), out, changed)
+    def update(c: SCCtx, d: SkylineSet, in: Array[SkylineSet], out: Array[SkylineSet]): Option[SkylineSet] = {
+      val d2 = DIndex(in, out)
+      if (d2 == d.pairs) None else Some(SkylineSet(d2))
     }
   }
 
@@ -82,9 +71,7 @@ object SkylineCoreness {
     val rOut = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.Out), mode, maxRounds)
     val init = rIn.states.mapValues(_.value).join(rOut.states.mapValues(_.value))
 
-    val ctx: RDD[(Long, SCCtx)] = adj.join(init).mapValues { case (a, (k0, l0)) =>
-      SCCtx(a.inN, a.outN, k0, l0)
-    }
+    val ctx: RDD[(Long, SCCtx)] = adj.join(init).mapValues { case (a, (k0, l0)) => SCCtx(a, k0, l0) }
 
     val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
     val tracing = traceSink.isDefined
@@ -93,10 +80,10 @@ object SkylineCoreness {
       SCProgram,
       mode,
       maxRounds,
-      onRoundEnd = (_: Int, st: RDD[(Long, SCState)]) =>
-        if (tracing) trace += st.mapValues(_.d).collect().toMap
+      onRoundEnd = (_: Int, st: RDD[(Long, NeighbourFixpoint.State[SkylineSet])]) =>
+        if (tracing) trace += st.mapValues(_.value.pairs).collect().toMap
     )
-    val sky = main.states.mapValues(_.d).persist(StorageLevel.MEMORY_AND_DISK)
+    val sky = main.states.mapValues(_.value.pairs).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
     traceSink.foreach(sink => sink(trace.result()))
     adj.unpersist(blocking = false)

@@ -91,7 +91,6 @@ final class DirectedGraph private (val edges: DataFrame) extends Serializable {
       .withColumn("r", pmod(hash($"vid", lit(seed)), lit(1000000)) / 1000000.0)
       .filter($"r" < frac)
       .select($"vid")
-    val spark = edges.sparkSession
     val kept = keep.cache()
     val sub = edges
       .join(kept.withColumnRenamed("vid", "src"), Seq("src"))

@@ -33,11 +33,13 @@ object Partitioners {
     Partitioning(v => (v % n).toInt.abs, n, "HASH")
   }
 
-  /** GRAPE's SEG: contiguous id ranges of size ceil((maxId+1)/N). */
+  /** GRAPE's SEG: contiguous id ranges of size ceil((maxId+1)/N); ids below
+    * 0 go to the first block and ids above `maxId` to the last.
+    */
   def seg(numBlocks: Int, maxId: Long): Partitioning = {
     val cap = math.max(1L, (maxId + numBlocks) / numBlocks)
     val n = numBlocks
-    Partitioning(v => math.min(n - 1L, v / cap).toInt, n, "SEG")
+    Partitioning(v => math.max(0L, math.min(n - 1L, v / cap)).toInt, n, "SEG")
   }
 
   /** FENNEL streaming partitioner: place each vertex (in id order) in the

@@ -37,7 +37,12 @@ trait VertexProgram[C, S, M] extends Serializable {
   */
 sealed trait EngineMode { def name: String }
 final case class VertexCentric(numPartitions: Int) extends EngineMode { val name = "vertex-centric" }
-final case class BlockCentric(assign: Long => Int, numBlocks: Int) extends EngineMode { val name = "block-centric" }
+final case class BlockCentric(assign: Long => Int, numBlocks: Int) extends EngineMode {
+  val name = "block-centric"
+
+  /** The block of vertex `v`: `assign(v)` folded into `[0, numBlocks)`. */
+  def block(v: Long): Int = Math.floorMod(assign(v), numBlocks)
+}
 
 /** Per-run accounting mirroring the paper's metrics: rounds to converge
   * (Table 4), messages per round / total communication overhead (Figs. 4–7),
@@ -64,24 +69,11 @@ final case class EngineMetrics(
   /** Smallest round by which `frac` of the vertices have converged. */
   def roundsToConverge(frac: Double): Int =
     (0 to rounds).find(r => convergenceRate(r) >= frac).getOrElse(rounds)
-
-  def +(other: EngineMetrics): EngineMetrics = EngineMetrics(
-    mode,
-    rounds + other.rounds,
-    remoteMsgsPerRound ++ other.remoteMsgsPerRound,
-    localMsgsPerRound ++ other.localMsgsPerRound,
-    changedPerRound ++ other.changedPerRound,
-    math.max(nVertices, other.nVertices),
-    Map.empty // histograms are per-phase; combined histogram is not meaningful
-  )
 }
 
-private final case class BlockPartitioner(assign: Long => Int, numBlocks: Int) extends Partitioner {
-  def numPartitions: Int = numBlocks
-  def getPartition(key: Any): Int = {
-    val b = assign(key.asInstanceOf[Long]) % numBlocks
-    if (b < 0) b + numBlocks else b
-  }
+private final case class BlockPartitioner(mode: BlockCentric) extends Partitioner {
+  def numPartitions: Int = mode.numBlocks
+  def getPartition(key: Any): Int = mode.block(key.asInstanceOf[Long])
 }
 
 /** Synchronous superstep executor over Spark RDDs.
@@ -142,7 +134,7 @@ object SuperstepEngine {
   ): RunResult[S] = {
     val (part, localDelivery) = mode match {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
-      case BlockCentric(a, b) => (BlockPartitioner(a, b): Partitioner, true)
+      case b: BlockCentric    => (BlockPartitioner(b): Partitioner, true)
     }
     val selfWake = program.selfWake
 

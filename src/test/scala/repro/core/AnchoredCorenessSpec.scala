@@ -139,6 +139,14 @@ class AnchoredCorenessSpec extends SparkSpec {
     assert(b.phase1.rounds <= v.phase1.rounds)
     assert(b.totalRounds <= v.totalRounds)
   }
+  test("block-centric setup messages count the edges the engine's blocks cut") {
+    // The assignment leaves [0, 4); the engine folds it, so e.g. (1,5) and
+    // (-3,1) stay inside one block.
+    val edges = GraphGen.randomLocalEdges(30, 100, 34).map { case (u, v) => (u - 10, v - 10) }
+    val run = AnchoredCoreness.run(DirectedGraph.fromEdgeList(spark, edges), BlockCentric(v => v.toInt, 4))
+    val cut = edges.count { case (s, d) => Math.floorMod(s, 4L) != Math.floorMod(d, 4L) }
+    assert(run.setupMessages == 2L * cut)
+  }
   test("message accounting: phase totals are positive and deterministic") {
     val edges = GraphGen.randomLocalEdges(30, 100, 33)
     val g = DirectedGraph.fromEdgeList(spark, edges)

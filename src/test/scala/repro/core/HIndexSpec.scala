@@ -64,20 +64,6 @@ class HIndexSpec extends AnyFunSuite {
 class DominanceSpec extends AnyFunSuite {
   import Dominance._
 
-  test("leq is reflexive") { assert(leq(3, 4, 3, 4)) }
-  test("leq holds componentwise") {
-    assert(leq(1, 2, 3, 4)); assert(!leq(4, 2, 3, 4)); assert(!leq(1, 5, 3, 4))
-  }
-  test("lt requires a strict coordinate") {
-    assert(!lt(3, 4, 3, 4)); assert(lt(2, 4, 3, 4)); assert(lt(3, 3, 3, 4)); assert(lt(2, 3, 3, 4))
-  }
-  test("lt implies leq") {
-    val rng = new Random(5)
-    for (_ <- 1 to 50) {
-      val (a, b, c, d) = (rng.nextInt(5), rng.nextInt(5), rng.nextInt(5), rng.nextInt(5))
-      if (lt(a, b, c, d)) assert(leq(a, b, c, d))
-    }
-  }
   test("skyline of empty is empty") { assert(skyline(Nil).isEmpty) }
   test("skyline removes dominated pairs (paper v2 example)") {
     // Φ(v2) = {(0,2),(1,2),(2,2),(3,1)} -> SC(v2) = {(3,1),(2,2)}
@@ -107,7 +93,7 @@ class DominanceSpec extends AnyFunSuite {
 
 class SkylineSetSpec extends AnyFunSuite {
   test("empty set dominates nothing, has zero maxima") {
-    val s = SkylineSet.empty
+    val s = SkylineSet(Vector.empty)
     assert(!s.dominatesOrEq(0, 0))
     assert(s.maxK == 0 && s.maxL == 0)
   }

@@ -9,12 +9,17 @@ class PartitionerSpec extends AnyFunSuite {
   private val vertexIds = edges.flatMap { case (u, v) => Seq(u, v) }.distinct
   private val maxId = vertexIds.max
   private val B = 8
+  // Ids no partitioner saw when it was built: negative and above maxId.
+  private val strayIds = Seq(-200L, -1L, maxId + 1, maxId + 1000, Long.MinValue, Long.MaxValue)
 
-  private def allAssigned(p: Partitioners.Partitioning): Unit =
-    vertexIds.foreach { v =>
+  private def allAssigned(p: Partitioners.Partitioning): Unit = {
+    val ids = vertexIds ++ strayIds
+    ids.foreach { v =>
       val b = p.assign(v)
       assert(b >= 0 && b < B, s"${p.name} put $v in $b")
     }
+    assert(p.blockSizes(ids).sum == ids.size)
+  }
 
   test("HASH assigns every vertex to a valid block") { allAssigned(Partitioners.hash(B)) }
   test("SEG assigns every vertex to a valid block") { allAssigned(Partitioners.seg(B, maxId)) }
