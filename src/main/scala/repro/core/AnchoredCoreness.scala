@@ -45,6 +45,19 @@ object AnchoredCoreness {
     */
   final case class AdjK(adj: VertexAdj, inK: Array[Int], outK: Array[Int], kmax: Int)
 
+  /** The kmax exchange before Phase II: each vertex sends its kmax once to
+    * every in- and out-neighbor (a 2-cycle neighbor gets one per edge) and
+    * never changes, so the run ends after one round with `in`/`out` holding
+    * the neighbors' kmax — exactly `AdjK.inK`/`outK`.
+    */
+  private object KmaxExchange extends NeighbourFixpoint[(VertexAdj, Int), Int] {
+    def inN(c: (VertexAdj, Int)): Array[Long] = c._1.inN
+    def outN(c: (VertexAdj, Int)): Array[Long] = c._1.outN
+    def receivers(c: (VertexAdj, Int)): Array[Long] = c._1.inN ++ c._1.outN
+    def init(vid: Long, c: (VertexAdj, Int)): Int = c._2
+    def update(c: (VertexAdj, Int), k: Int, in: Array[Int], out: Array[Int]): Option[Int] = None
+  }
+
   /** Phase II (Alg. 3): batch n-order out-H-index on every G[k],
     * k in [0, kmax(v)]. Following the paper's own Table-1 trace, the 0-order
     * value is the out-degree in G (an upper bound of the G[k] out-degree;
@@ -112,7 +125,7 @@ object AnchoredCoreness {
       phase2: EngineMetrics,
       phase3: EngineMetrics,
       /** one-off kmax exchange before Phase II (2 msgs/edge; cut edges only
-        * in block-centric mode) */
+        * in block-centric mode), as the engine counted it */
       setupMessages: Long
   ) {
     def totalRounds: Int = phase1.rounds + phase2.rounds + phase3.rounds
@@ -134,7 +147,6 @@ object AnchoredCoreness {
       traceSink: Option[Trace => Unit] = None
   ): ACRun = {
     val adj = g.adjacency().persist(StorageLevel.MEMORY_AND_DISK)
-    adj.count()
 
     val t1 = Vector.newBuilder[Map[Long, Int]]
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
@@ -154,26 +166,12 @@ object AnchoredCoreness {
     val kmaxRDD = p1.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- kmax exchange: every vertex tells each neighbor its kmax so that
-    // G[k] membership is locally checkable (one-off setup broadcast).
-    val requests = adj.flatMap { case (v, a) =>
-      a.inN.iterator.map(u => (u, (v, 0: Byte))) ++ a.outN.iterator.map(u => (u, (v, 1: Byte)))
-    }
-    val withK = requests.join(kmaxRDD).map { case (u, ((v, dir), ku)) => (v, (u, dir, ku)) }
-    val adjK: RDD[(Long, AdjK)] = withK
-      .groupByKey(adj.getNumPartitions)
-      .join(kmaxRDD)
-      .mapValues { case (entries, ownK) =>
-        val (in, inK)   = entries.iterator.collect { case (u, 0, ku) => (u, ku) }.toArray.sortBy(_._1).unzip
-        val (out, outK) = entries.iterator.collect { case (u, 1, ku) => (u, ku) }.toArray.sortBy(_._1).unzip
-        AdjK(VertexAdj(in, out), inK, outK, ownK)
-      }
+    // G[k] membership is locally checkable. One engine round of setup, so
+    // `totalRounds` (Table 4's three phases) leaves it out.
+    val ex = SuperstepEngine.run(adj.join(kmaxRDD), KmaxExchange, mode, maxRounds)
+    val adjK: RDD[(Long, AdjK)] = ex.states.join(adj)
+      .mapValues { case (s, a) => AdjK(a, s.in, s.out, s.value) }
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val setupMessages: Long = mode match {
-      case VertexCentric(_) => 2L * g.numEdges
-      case b: BlockCentric =>
-        import g.edges.sparkSession.implicits._
-        2L * g.edges.as[(Long, Long)].rdd.filter { case (s, d) => b.block(s) != b.block(d) }.count()
-    }
 
     // ---- Phase II: upper bounds lupp(k, v).
     val p2 = SuperstepEngine.run(
@@ -199,7 +197,7 @@ object AnchoredCoreness {
 
     traceSink.foreach(sink => sink(Trace(t1.result(), t2.result(), t3.result())))
     adj.unpersist(blocking = false)
-    ACRun(lmax, kmaxRDD, p1.metrics, p2.metrics, p3.metrics, setupMessages)
+    ACRun(lmax, kmaxRDD, p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
   }
 
   /** kmax(v) for every vertex (Phase I only) — also the per-vertex

@@ -64,7 +64,6 @@ object SkylineCoreness {
       traceSink: Option[Vector[Map[Long, Vector[(Int, Int)]]] => Unit] = None
   ): SCRun = {
     val adj = g.adjacency().persist(StorageLevel.MEMORY_AND_DISK)
-    adj.count()
 
     // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice.
     val rIn  = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.In), mode, maxRounds)

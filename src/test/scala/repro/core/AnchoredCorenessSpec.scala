@@ -143,9 +143,14 @@ class AnchoredCorenessSpec extends SparkSpec {
     // The assignment leaves [0, 4); the engine folds it, so e.g. (1,5) and
     // (-3,1) stay inside one block.
     val edges = GraphGen.randomLocalEdges(30, 100, 34).map { case (u, v) => (u - 10, v - 10) }
-    val run = AnchoredCoreness.run(DirectedGraph.fromEdgeList(spark, edges), BlockCentric(v => v.toInt, 4))
+    val g = DirectedGraph.fromEdgeList(spark, edges)
+    val run = AnchoredCoreness.run(g, BlockCentric(v => v.toInt, 4))
     val cut = edges.count { case (s, d) => Math.floorMod(s, 4L) != Math.floorMod(d, 4L) }
     assert(run.setupMessages == 2L * cut)
+    // Vertex-centric: every edge is cut.
+    assert(AnchoredCoreness.run(g, VertexCentric(3)).setupMessages == 2L * g.numEdges)
+    // Figure 2's 2-cycles (1,5)/(5,1) and (4,6)/(6,4) still cost 2 per edge.
+    assert(fig2Trace._1.setupMessages == 34)
   }
   test("message accounting: phase totals are positive and deterministic") {
     val edges = GraphGen.randomLocalEdges(30, 100, 33)
