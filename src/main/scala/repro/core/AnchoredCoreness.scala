@@ -80,15 +80,13 @@ object AnchoredCoreness {
     }
   }
 
-  /** Phase III (Alg. 4): decrement lupp(k,v) while Theorem 4.3's support
+  /** Phase III (Alg. 4): lower lupp(k,v) while Theorem 4.3's support
     * conditions fail — fewer than k in-neighbors (resp. lupp(k,v)
-    * out-neighbors) in G[k] holding bounds >= lupp(k,v). `selfWake` because
-    * the condition depends on v's own bound: one decrement may expose the
-    * need for another even with no new inbound messages.
+    * out-neighbors) in G[k] holding bounds >= lupp(k,v). Both counts fall as
+    * the bound rises, so one `update` settles each bound at the largest value
+    * the current tables allow.
     */
   private object Phase3Program extends NeighbourFixpoint[(AdjK, Array[Int]), Array[Int]] {
-    override def selfWake: Boolean = true
-
     def inN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.inN
     def outN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.outN
     def receivers(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
@@ -110,8 +108,9 @@ object AnchoredCoreness {
     def update(c: (AdjK, Array[Int]), l: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
       val a = c._1
       val l2 = Array.tabulate(l.length) { k =>
-        val t = l(k)
-        if (t > 0 && (support(in, a.inK, k, t) < k || support(out, a.outK, k, t) < t)) t - 1 else t
+        var t = l(k)
+        while (t > 0 && (support(in, a.inK, k, t) < k || support(out, a.outK, k, t) < t)) t -= 1
+        t
       }
       if (l2.sameElements(l)) None else Some(l2)
     }

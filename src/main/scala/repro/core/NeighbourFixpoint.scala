@@ -16,7 +16,9 @@ import repro.engine.VertexProgram
   *
   * Every vertex sends its initial value to each of its receivers, and every
   * slot an instance reads belongs to a neighbour that feeds it, so the first
-  * round fills every slot before `update` first runs.
+  * round fills every slot before `update` first runs. The engine runs a
+  * vertex only when it has mail, so `update` must return `None` on its own
+  * result when the tables have not changed.
   */
 abstract class NeighbourFixpoint[C, V: ClassTag]
     extends VertexProgram[C, NeighbourFixpoint.State[V], (Long, V)] {

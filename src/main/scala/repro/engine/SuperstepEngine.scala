@@ -10,9 +10,7 @@ import scala.reflect.ClassTag
 /** A vertex program in the Pregel/GRAPE sense (paper Sec. 2): per-vertex
   * state `S`, read-only per-vertex context `C` (typically adjacency), and
   * messages `M` exchanged along edges. A vertex is inactive until it
-  * receives a message (or, with `selfWake`, while its own state is still
-  * settling — needed by Alg. 4 whose refinement condition depends on the
-  * vertex's *own* bound).
+  * receives a message.
   */
 trait VertexProgram[C, S, M] extends Serializable {
   def initialState(vid: Long, ctx: C): S
@@ -22,11 +20,6 @@ trait VertexProgram[C, S, M] extends Serializable {
 
   /** One vertex update: returns (new state, outbound messages, changed?). */
   def compute(vid: Long, ctx: C, s: S, msgs: Seq[M]): (S, Iterator[(Long, M)], Boolean)
-
-  /** If true, a vertex that changed re-runs next superstep without inbound
-    * messages (block-centric mode re-runs it inside the local loop).
-    */
-  def selfWake: Boolean = false
 }
 
 /** Execution mode. `VertexCentric`: every message crosses the network and is
@@ -80,36 +73,33 @@ private final case class BlockPartitioner(mode: BlockCentric) extends Partitione
   *
   * Every RDD in a run holds one record per partition (= block): the context
   * as two arrays sorted by vertex id, and per round a `Block` of states,
-  * flags and outbound messages aligned to that order. Each round shuffles
-  * the previous round's outbox to its target blocks with `partitionBy` (no
-  * aggregator, so the reader streams plain records), zips context, previous
-  * record and inbox partition by partition, and runs `stepBlock` on them.
+  * last-changed rounds and outbound messages aligned to that order. Each
+  * round shuffles the previous round's outbox to its target blocks with
+  * `partitionBy` (no aggregator, so the reader streams plain records), zips
+  * context, previous record and inbox partition by partition, and runs
+  * `stepBlock` on them.
   * Each round's record is local-checkpointed, so no task carries more than
-  * one round of lineage. Terminates when no messages are in flight (and, for
-  * `selfWake` programs, no vertex is still settling) — the paper's "no
-  * vertex broadcasts messages" condition.
+  * one round of lineage. Terminates when no messages are in flight — the
+  * paper's "no vertex broadcasts messages" condition.
   */
 object SuperstepEngine {
 
   final case class RunResult[S](states: RDD[(Long, S)], metrics: EngineMetrics)
 
   /** One block's counts for one round. `changed`: vertices whose last change
-    * is this round; `settling`: vertices whose latest compute changed them.
-    * The last-changed histogram is kept every round so the final one comes
-    * with the last round's job instead of a job of its own.
+    * is this round. The last-changed histogram is kept every round so the
+    * final one comes with the last round's job instead of a job of its own.
     */
   private[engine] final case class RoundCounts(
       remote: Long,
       local: Long,
       changed: Long,
-      settling: Long,
       lastChangedHist: Map[Int, Long]
   ) {
     def +(o: RoundCounts): RoundCounts = RoundCounts(
       remote + o.remote,
       local + o.local,
       changed + o.changed,
-      settling + o.settling,
       o.lastChangedHist.foldLeft(lastChangedHist) { case (h, (r, n)) => h.updated(r, h.getOrElse(r, 0L) + n) }
     )
   }
@@ -119,7 +109,6 @@ object SuperstepEngine {
     */
   private[engine] final case class Block[S, M](
       states: Array[S],
-      changed: Array[Boolean],
       lastChanged: Array[Int],
       outbox: Array[(Long, M)],
       counts: RoundCounts
@@ -136,7 +125,6 @@ object SuperstepEngine {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
       case b: BlockCentric    => (BlockPartitioner(b): Partitioner, true)
     }
-    val selfWake = program.selfWake
 
     // The context keeps `part` so the zipped states RDD reports it and joins
     // on a run's result stay narrow on that side. The round-0 job below
@@ -160,8 +148,7 @@ object SuperstepEngine {
       val outbox = vids.indices.iterator.flatMap(i => program.initialMessages(vids(i), ctxs(i), states(i))).toArray
       val local = if (localDelivery) outbox.count { case (t, _) => part.getPartition(t) == pid }.toLong else 0L
       val hist = if (vids.isEmpty) Map.empty[Int, Long] else Map(0 -> vids.length.toLong)
-      Iterator(Block(states, new Array[Boolean](vids.length), new Array[Int](vids.length), outbox,
-        RoundCounts(outbox.length - local, local, 0L, 0L, hist)))
+      Iterator(Block(states, new Array[Int](vids.length), outbox, RoundCounts(outbox.length - local, local, 0L, hist)))
     }.persist(StorageLevel.MEMORY_AND_DISK)
     val init = blocks.map(_.counts).reduce(_ + _)
     val nVertices = init.lastChangedHist.values.sum
@@ -175,11 +162,8 @@ object SuperstepEngine {
     var last = init
     var pendingMsgs = init.remote + init.local
     var round = 0
-    // Vertex-centric selfWake vertices that changed re-run next round even
-    // without messages; block-centric mode settles them inside the round.
-    def pending: Boolean = pendingMsgs > 0 || (selfWake && !localDelivery && last.settling > 0)
 
-    while (round < maxRounds && pending) {
+    while (round < maxRounds && pendingMsgs > 0) {
       round += 1
       val r = round
       val inbox = blocks.flatMap(_.outbox.iterator).partitionBy(part)
@@ -200,7 +184,7 @@ object SuperstepEngine {
       pendingMsgs = last.remote
       onRoundEnd(round, statesOf(blocks))
     }
-    require(!pending, s"engine did not converge within $maxRounds rounds")
+    require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
 
     val metrics = EngineMetrics(
       mode.name,
@@ -216,10 +200,10 @@ object SuperstepEngine {
 
   /** One superstep of one block, without Spark: deliver `inbox` (messages
     * keyed by target vertex) and run the vertex program on every vertex that
-    * received a message or, with `selfWake`, is still settling. In
-    * block-centric mode (`localDelivery`), messages to a vertex of the same
-    * block are delivered to the next *sub-iteration* rather than the next
-    * round, until the block settles; every other message goes to the outbox.
+    * received a message. In block-centric mode (`localDelivery`), messages
+    * to a vertex of the same block are delivered to the next *sub-iteration*
+    * rather than the next round, until the block settles; every other
+    * message goes to the outbox.
     */
   private[engine] def stepBlock[C, S, M](
       round: Int,
@@ -234,7 +218,6 @@ object SuperstepEngine {
   ): Block[S, M] = {
     val n = vids.length
     val states = prev.states.clone()
-    val changed = prev.changed.clone()
     val lastChanged = prev.lastChanged.clone()
     val outbox = mutable.ArrayBuffer.empty[(Long, M)]
     var local = 0L
@@ -246,9 +229,9 @@ object SuperstepEngine {
       if (msgs(i) == null) msgs(i) = mutable.ArrayBuffer.empty
       msgs(i) += m
     }
-    // A vertex runs when it has mail or, with `selfWake`, changed last time
-    // it ran; block-centric mode re-applies the rule every sub-iteration.
-    def wanted(i: Int): Boolean = msgs(i) != null || (program.selfWake && changed(i))
+    // A vertex runs when it has mail; block-centric mode re-applies the rule
+    // every sub-iteration.
+    def wanted(i: Int): Boolean = msgs(i) != null
     var active = (0 until n).filter(wanted)
 
     var subIter = 0
@@ -257,10 +240,8 @@ object SuperstepEngine {
       require(subIter <= maxRounds, s"round $round: block $block did not settle within $maxRounds local sub-iterations")
       val nextMsgs = new Array[mutable.ArrayBuffer[M]](n)
       for (i <- active) {
-        val ms = if (msgs(i) == null) Nil else msgs(i).toSeq
-        val (s2, out, ch) = program.compute(vids(i), ctxs(i), states(i), ms)
+        val (s2, out, ch) = program.compute(vids(i), ctxs(i), states(i), msgs(i).toSeq)
         states(i) = s2
-        changed(i) = ch
         if (ch) lastChanged(i) = round
         out.foreach { case (t, m) =>
           val j = if (localDelivery) java.util.Arrays.binarySearch(vids, t) else -1
@@ -276,7 +257,7 @@ object SuperstepEngine {
     }
 
     val hist = lastChanged.groupMapReduce(identity)(_ => 1L)(_ + _)
-    Block(states, changed, lastChanged, outbox.toArray,
-      RoundCounts(outbox.length.toLong, local, lastChanged.count(_ == round).toLong, changed.count(identity).toLong, hist))
+    Block(states, lastChanged, outbox.toArray,
+      RoundCounts(outbox.length.toLong, local, lastChanged.count(_ == round).toLong, hist))
   }
 }

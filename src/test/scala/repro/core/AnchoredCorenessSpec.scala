@@ -120,6 +120,15 @@ class AnchoredCorenessSpec extends SparkSpec {
     val got = AnchoredCoreness.run(g, VertexCentric(2)).lmax.collect().toMap
     got.values.foreach(arr => assert(arr.toSeq == Seq(1, 1)))
   }
+  test("Phase III drops a bound by two while no neighbour changes") {
+    // lupp(1,10) = 3 from out-neighbours 1-3, but 10's only in-neighbour 11
+    // has one out-edge, so lmax(1,10) = 1; no neighbour of 10 changes in
+    // Phase III, so nothing wakes 10 after its first compute.
+    val clique = for (u <- 1L to 4L; v <- 1L to 4L if u != v) yield (u, v)
+    val edges = clique ++ Seq((10L, 1L), (10L, 2L), (10L, 3L), (10L, 11L), (11L, 10L))
+    for ((label, mode) <- Seq("V/2" -> VertexCentric(2), "B/2" -> blockMode(2), "B/1" -> BlockCentric(_ => 0, 1)))
+      checkAgainstPeeling(edges, mode, label)
+  }
 
   // ---------------- metrics ------------------------------------------------
 

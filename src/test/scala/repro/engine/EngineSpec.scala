@@ -11,8 +11,8 @@ import repro.core.HIndexProgram
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
 
 /** Engine-semantics tests using two tiny programs: weakly-connected min-label
-  * propagation (message-driven convergence) and a self-settling countdown
-  * (exercises `selfWake`).
+  * propagation (message-driven convergence) and a countdown that would keep
+  * changing if it ran without mail.
   */
 object TestPrograms {
 
@@ -29,10 +29,9 @@ object TestPrograms {
   }
 
   /** Decrements its state by 1 per activation until it reaches its degree;
-    * sends nothing after the initial poke — progress relies on selfWake.
+    * sends nothing after the initial poke, so each vertex runs once.
     */
-  final class Countdown(start: Int, wake: Boolean) extends VertexProgram[VertexAdj, Int, Int] {
-    override def selfWake: Boolean = wake
+  final class Countdown(start: Int) extends VertexProgram[VertexAdj, Int, Int] {
     def initialState(vid: Long, a: VertexAdj): Int = start
     def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] =
       a.distinctNeighbors.iterator.map(t => (t, 0))
@@ -165,36 +164,16 @@ class EngineSpec extends SparkSpec {
     if (r90 > 0) assert(m.convergenceRate(r90 - 1) < 0.9)
   }
 
-  test("selfWake: countdown settles to degree with wake=true") {
-    val r = SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(10, wake = true), VertexCentric(2))
-    val s = r.states.collect().toMap
-    assert(s(2L) == 2) // degree 2
-    assert(s(1L) == 1 && s(3L) == 1)
-  }
-
-  test("selfWake off: countdown stalls after its one activation") {
-    val r = SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(10, wake = false), VertexCentric(2))
+  test("a vertex without mail does not run") {
+    val r = SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(10), VertexCentric(2))
     val s = r.states.collect().toMap
     // each vertex computes at most once (single poke message), so at most one decrement
     assert(s.values.forall(v => v >= 9))
   }
 
-  test("selfWake works inside block-centric local iteration") {
-    val r = SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(10, wake = true), BlockCentric(_ => 0, 1))
-    val s = r.states.collect().toMap
-    assert(s(2L) == 2 && s(1L) == 1 && s(3L) == 1)
-    assert(r.metrics.rounds <= 2, "local loop should settle everything within the block")
-  }
-
   test("engine enforces maxRounds") {
     assertThrows[IllegalArgumentException] {
       SuperstepEngine.run(adjOf(GraphGen.randomLocalEdges(60, 150, 14)), MinLabel, VertexCentric(4), maxRounds = 1)
-    }
-  }
-
-  test("engine enforces maxRounds on a selfWake program still settling without messages") {
-    assertThrows[IllegalArgumentException] {
-      SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(50, wake = true), VertexCentric(2), maxRounds = 3)
     }
   }
 
@@ -235,16 +214,12 @@ class EngineSpec extends SparkSpec {
     // histogram, one line per program, mode and graph.
     val expected = Map(
       "MinLabel/vertex-centric/seed=21" -> "286,230,225,187,53,2,0 | 0,0,0,0,0,0,0 | 46,47,41,15,1,0 | 0:1,1:4,2:14,3:26,4:14,5:1",
-      "Countdown/vertex-centric/seed=21" -> "286,0,0,0,0,0,0,0,0,0,0,0,0 | 0,0,0,0,0,0,0,0,0,0,0,0,0 | 60,60,59,56,53,48,40,26,11,6,1,0 | 2:1,3:3,4:3,5:5,6:8,7:14,8:15,9:5,10:5,11:1",
       "HIndexIn/vertex-centric/seed=21" -> "150,89,34,27,18,4,4,0 | 0,0,0,0,0,0,0,0 | 38,18,9,7,2,2,0 | 0:14,1:13,2:13,3:9,4:7,5:2,6:2",
       "MinLabel/block-centric/seed=21" -> "216,283,203,66,0 | 70,116,69,20,0 | 54,51,21,0 | 0:1,1:8,2:30,3:21",
-      "Countdown/block-centric/seed=21" -> "216,0 | 70,0 | 60 | 1:60",
       "HIndexIn/block-centric/seed=21" -> "112,73,29,26,4,0 | 38,23,10,6,5,0 | 40,18,12,4,0 | 0:14,1:14,2:16,3:12,4:4",
       "MinLabel/vertex-centric/seed=22" -> "296,242,230,174,35,0 | 0,0,0,0,0,0 | 48,47,35,11,0 | 0:1,1:5,2:17,3:26,4:11",
-      "Countdown/vertex-centric/seed=22" -> "296,0,0,0,0,0,0,0,0,0,0,0,0 | 0,0,0,0,0,0,0,0,0,0,0,0,0 | 60,60,60,58,54,49,36,22,12,7,2,0 | 3:2,4:4,5:5,6:13,7:14,8:10,9:5,10:5,11:2",
       "HIndexIn/vertex-centric/seed=22" -> "150,92,28,18,18,23,10,0 | 0,0,0,0,0,0,0,0 | 38,12,9,7,9,4,0 | 0:9,1:13,2:9,3:9,4:7,5:9,6:4",
       "MinLabel/block-centric/seed=22" -> "226,347,147,11,0 | 70,118,33,0,0 | 55,36,5,0 | 0:1,1:22,2:32,3:5",
-      "Countdown/block-centric/seed=22" -> "226,0 | 70,0 | 60 | 1:60",
       "HIndexIn/block-centric/seed=22" -> "115,74,22,21,19,8,0 | 35,26,4,8,4,3,0 | 41,9,13,9,5,0 | 0:9,1:16,2:8,3:13,4:9,5:5"
     )
     val got = for {
@@ -253,7 +228,6 @@ class EngineSpec extends SparkSpec {
       mode <- Seq(VertexCentric(4), blockMode(4))
       (name, acc) <- Seq(
         "MinLabel" -> accountingOf(edges, MinLabel, mode),
-        "Countdown" -> accountingOf(edges, new Countdown(12, wake = true), mode),
         "HIndexIn" -> accountingOf(edges, HIndexProgram(HIndexProgram.In), mode)
       )
     } yield (s"$name/${mode.name}/seed=$seed", acc)
