@@ -138,15 +138,15 @@ object AnchoredCoreness {
       phase3: Vector[Map[Long, Array[Int]]]
   )
 
-  /** Run the full AC decomposition. `mode` selects AC-V vs AC-B. */
+  /** Run the full AC decomposition. `mode` selects AC-V vs AC-B. Each run
+    * starts from the previous run's vertices, so no phase re-joins the adjacency.
+    */
   def run(
       g: DirectedGraph,
       mode: EngineMode,
       maxRounds: Int = 5000,
       traceSink: Option[Trace => Unit] = None
   ): ACRun = {
-    val adj = g.adjacency().persist(StorageLevel.MEMORY_AND_DISK)
-
     val t1 = Vector.newBuilder[Map[Long, Int]]
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
     val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
@@ -156,36 +156,30 @@ object AnchoredCoreness {
 
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.
     val p1 = SuperstepEngine.run(
-      adj,
+      g.adjacency(),
       HIndexProgram(HIndexProgram.In),
       mode,
       maxRounds,
       onRoundEnd = record(t1) _
     )
-    val kmaxRDD = p1.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- kmax exchange: every vertex tells each neighbor its kmax so that
     // G[k] membership is locally checkable. One engine round of setup, so
     // `totalRounds` (Table 4's three phases) leaves it out.
-    val ex = SuperstepEngine.run(adj.join(kmaxRDD), KmaxExchange, mode, maxRounds)
-    val adjK: RDD[(Long, AdjK)] = ex.states.join(adj)
-      .mapValues { case (s, a) => AdjK(a, s.in, s.out, s.value) }
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    val ex = SuperstepEngine.run(p1.vertices.mapValues { case (a, s) => (a, s.value) }, KmaxExchange, mode, maxRounds)
 
     // ---- Phase II: upper bounds lupp(k, v).
     val p2 = SuperstepEngine.run(
-      adjK,
+      ex.vertices.mapValues { case ((a, _), s) => AdjK(a, s.in, s.out, s.value) },
       Phase2Program,
       mode,
       maxRounds,
       onRoundEnd = record(t2) _
     )
-    val lupp = p2.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- Phase III: refine to exact lmax(k, v).
-    val ctx3 = adjK.join(lupp)
     val p3 = SuperstepEngine.run(
-      ctx3,
+      p2.vertices.mapValues { case (a, s) => (a, s.value) },
       Phase3Program,
       mode,
       maxRounds,
@@ -195,23 +189,20 @@ object AnchoredCoreness {
     lmax.count()
 
     traceSink.foreach(sink => sink(Trace(t1.result(), t2.result(), t3.result())))
-    adj.unpersist(blocking = false)
-    ACRun(lmax, kmaxRDD, p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
+    ACRun(lmax, p1.states.mapValues(_.value), p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
   }
 
   /** kmax(v) for every vertex (Phase I only) — also the per-vertex
     * in-coreness used for Table 3's k_max column.
     */
   def inCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
-    val adj = g.adjacency()
-    val r = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.In), mode)
+    val r = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.In), mode)
     (r.states.mapValues(_.value), r.metrics)
   }
 
   /** lmax(v) = out-coreness (Theorem 5.2) — Table 3's l_max column. */
   def outCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
-    val adj = g.adjacency()
-    val r = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.Out), mode)
+    val r = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.Out), mode)
     (r.states.mapValues(_.value), r.metrics)
   }
 }

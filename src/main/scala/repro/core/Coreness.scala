@@ -19,9 +19,7 @@ object Coreness {
     * core iff some skyline pair dominates-or-equals (k,l).
     */
   def coreFromSkyline(sky: Map[Long, Vector[(Int, Int)]], k: Int, l: Int): Set[Long] =
-    sky.iterator.collect {
-      case (v, pairs) if pairs.exists { case (ki, li) => ki >= k && li >= l } => v
-    }.toSet
+    sky.iterator.collect { case (v, pairs) if SkylineSet(pairs).dominatesOrEq(k, l) => v }.toSet
 
   /** Anchored corenesses as (vid, k, l) rows — for SQL/oracle validation. */
   def anchoredToDF(spark: SparkSession, anchored: RDD[(Long, Array[Int])]): DataFrame = {

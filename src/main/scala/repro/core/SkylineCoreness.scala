@@ -63,14 +63,12 @@ object SkylineCoreness {
       maxRounds: Int = 5000,
       traceSink: Option[Vector[Map[Long, Vector[(Int, Int)]]] => Unit] = None
   ): SCRun = {
-    val adj = g.adjacency().persist(StorageLevel.MEMORY_AND_DISK)
-
-    // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice.
-    val rIn  = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.In), mode, maxRounds)
-    val rOut = SuperstepEngine.run(adj, HIndexProgram(HIndexProgram.Out), mode, maxRounds)
-    val init = rIn.states.mapValues(_.value).join(rOut.states.mapValues(_.value))
-
-    val ctx: RDD[(Long, SCCtx)] = adj.join(init).mapValues { case (a, (k0, l0)) => SCCtx(a, k0, l0) }
+    // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice. Each
+    // run starts from the previous one's vertices, which keep the mode's
+    // partitioner, so neither the second run nor the join shuffles.
+    val rIn  = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.In), mode, maxRounds)
+    val rOut = SuperstepEngine.run(rIn.vertices.mapValues(_._1), HIndexProgram(HIndexProgram.Out), mode, maxRounds)
+    val ctx = rOut.vertices.join(rIn.states).mapValues { case ((a, out), in) => SCCtx(a, in.value, out.value) }
 
     val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
     val tracing = traceSink.isDefined
@@ -85,7 +83,6 @@ object SkylineCoreness {
     val sky = main.states.mapValues(_.value.pairs).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
     traceSink.foreach(sink => sink(trace.result()))
-    adj.unpersist(blocking = false)
     SCRun(sky, rIn.metrics, rOut.metrics, main.metrics)
   }
 }

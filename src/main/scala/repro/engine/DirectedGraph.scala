@@ -71,10 +71,10 @@ final class DirectedGraph private (val edges: DataFrame) extends Serializable {
   /** Adjacency RDD for the superstep engine: one record per vertex with its
     * full in- and out-neighbor lists (sorted for determinism).
     */
-  def adjacency(numPartitions: Int = edges.rdd.getNumPartitions): RDD[(Long, VertexAdj)] = {
+  def adjacency(): RDD[(Long, VertexAdj)] = {
     val e: RDD[(Long, Long)] = edges.select($"src", $"dst").as[(Long, Long)].rdd
-    val outs = e.map { case (s, d) => (s, d) }.groupByKey(numPartitions)
-    val ins  = e.map { case (s, d) => (d, s) }.groupByKey(numPartitions)
+    val outs = e.map { case (s, d) => (s, d) }.groupByKey(e.getNumPartitions)
+    val ins  = e.map { case (s, d) => (d, s) }.groupByKey(e.getNumPartitions)
     outs.fullOuterJoin(ins).mapValues { case (o, i) =>
       VertexAdj(
         i.map(_.toArray.sorted).getOrElse(Array.empty[Long]),

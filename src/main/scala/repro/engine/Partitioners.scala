@@ -47,11 +47,7 @@ object Partitioners {
     * α = m·(N^(γ−1))/n^γ (the paper's recommended setting).
     */
   def fennel(edges: Seq[(Long, Long)], numBlocks: Int): Partitioning = {
-    val adj = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-    edges.foreach { case (u, v) =>
-      adj.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += v
-      adj.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += u
-    }
+    val adj = undirected(edges)
     val vertices = adj.keys.toArray.sorted
     val n = math.max(1, vertices.length)
     val m = edges.length
@@ -74,7 +70,7 @@ object Partitioners {
       sizes(best) += 1
     }
     val frozen = assignment.toMap
-    Partitioning(v => frozen.getOrElse(v, (v % numBlocks).toInt.abs), numBlocks, "FENNEL")
+    Partitioning(v => frozen.getOrElse(v, hash(numBlocks).assign(v)), numBlocks, "FENNEL")
   }
 
   /** METIS-like edge-cut partitioner: BFS region growing into balanced
@@ -82,14 +78,9 @@ object Partitioners {
     * the neighbor-majority block when balance permits.
     */
   def metisLike(edges: Seq[(Long, Long)], numBlocks: Int): Partitioning = {
-    val adj = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-    edges.foreach { case (u, v) =>
-      adj.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += v
-      adj.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += u
-    }
+    val adj = undirected(edges)
     val vertices = adj.keys.toArray.sorted
     val n = vertices.length
-    if (n == 0) return Partitioning(v => (v % numBlocks).toInt.abs, numBlocks, "METIS-like")
     val cap = math.max(1L, math.ceil(n.toDouble / numBlocks).toLong)
     val assignment = mutable.HashMap.empty[Long, Int]
     val sizes = new Array[Long](numBlocks)
@@ -139,6 +130,10 @@ object Partitioners {
       }
     }
     val frozen = assignment.toMap
-    Partitioning(v => frozen.getOrElse(v, (v % numBlocks).toInt.abs), numBlocks, "METIS-like")
+    Partitioning(v => frozen.getOrElse(v, hash(numBlocks).assign(v)), numBlocks, "METIS-like")
   }
+
+  /** Each endpoint's neighbours in edge order, ignoring direction. */
+  private def undirected(edges: Seq[(Long, Long)]): Map[Long, Seq[Long]] =
+    edges.flatMap { case (u, v) => Seq(u -> v, v -> u) }.groupMap(_._1)(_._2)
 }

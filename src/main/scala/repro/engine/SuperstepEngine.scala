@@ -84,7 +84,10 @@ private final case class BlockPartitioner(mode: BlockCentric) extends Partitione
   */
 object SuperstepEngine {
 
-  final case class RunResult[S](states: RDD[(Long, S)], metrics: EngineMetrics)
+  /** Each vertex's context and final state, partitioned as the run was. */
+  final case class RunResult[C, S](vertices: RDD[(Long, (C, S))], metrics: EngineMetrics) {
+    def states: RDD[(Long, S)] = vertices.mapValues(_._2)
+  }
 
   /** One block's counts for one round. `changed`: vertices whose last change
     * is this round. The last-changed histogram is kept every round so the
@@ -120,24 +123,25 @@ object SuperstepEngine {
       mode: EngineMode,
       maxRounds: Int = 5000,
       onRoundEnd: (Int, RDD[(Long, S)]) => Unit = (_: Int, _: RDD[(Long, S)]) => ()
-  ): RunResult[S] = {
+  ): RunResult[C, S] = {
     val (part, localDelivery) = mode match {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
       case b: BlockCentric    => (BlockPartitioner(b): Partitioner, true)
     }
 
-    // The context keeps `part` so the zipped states RDD reports it and joins
-    // on a run's result stay narrow on that side. The round-0 job below
-    // materialises it, and the checkpoint then drops the input's lineage.
+    // The context keeps `part`, so a later run in the same mode starts from
+    // the result without a shuffle. The round-0 job below materialises it,
+    // and the checkpoint then drops the input's lineage.
     val context: RDD[(Array[Long], Array[C])] = vertices.partitionBy(part).mapPartitions(
       it => Iterator(it.toArray.sortBy(_._1).unzip),
       preservesPartitioning = true
     )
     context.localCheckpoint()
 
-    def statesOf(blocks: RDD[Block[S, M]]): RDD[(Long, S)] =
+    def verticesOf(blocks: RDD[Block[S, M]]): RDD[(Long, (C, S))] =
       context.zipPartitions(blocks, preservesPartitioning = true) { (cs, bs) =>
-        cs.next()._1.iterator.zip(bs.next().states.iterator)
+        val (vids, ctxs) = cs.next()
+        vids.iterator.zip(ctxs.iterator.zip(bs.next().states.iterator))
       }
 
     // Round 0: initial states and the initial broadcast. In block-centric
@@ -182,7 +186,7 @@ object SuperstepEngine {
       localPerRound += last.local
       changedPerRound += last.changed
       pendingMsgs = last.remote
-      onRoundEnd(round, statesOf(blocks))
+      onRoundEnd(round, verticesOf(blocks).mapValues(_._2))
     }
     require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
 
@@ -195,7 +199,7 @@ object SuperstepEngine {
       nVertices,
       last.lastChangedHist
     )
-    RunResult(statesOf(blocks), metrics)
+    RunResult(verticesOf(blocks), metrics)
   }
 
   /** One superstep of one block, without Spark: deliver `inbox` (messages

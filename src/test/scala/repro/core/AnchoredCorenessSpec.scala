@@ -1,13 +1,15 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
+
 import repro.SparkSpec
 import repro.engine._
+import repro.engine.TestModes.blockMode
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
 
 class AnchoredCorenessSpec extends SparkSpec {
 
   private def fig2 = DirectedGraph.fromEdgeList(spark, EG.figure2Edges)
-  private def blockMode(b: Int) = BlockCentric(v => (((v % b) + b) % b).toInt, b)
 
   private lazy val fig2Trace: (AnchoredCoreness.ACRun, AnchoredCoreness.Trace) = {
     var tr: AnchoredCoreness.Trace = null
@@ -160,6 +162,22 @@ class AnchoredCorenessSpec extends SparkSpec {
     assert(AnchoredCoreness.run(g, VertexCentric(3)).setupMessages == 2L * g.numEdges)
     // Figure 2's 2-cycles (1,5)/(5,1) and (4,6)/(6,4) still cost 2 per edge.
     assert(fig2Trace._1.setupMessages == 34)
+  }
+  test("AC and SC leave nothing persisted but their result and the engine's checkpoints") {
+    val g = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(30, 100, 35))
+    val sc = spark.sparkContext
+    // The RDDs `run` newly persisted that are not checkpoints, and the id of the RDD it returned.
+    def leftBy(run: => RDD[_]): (Set[Int], Int) = {
+      val before = sc.getPersistentRDDs.keySet
+      val result = run
+      (sc.getPersistentRDDs.collect { case (id, rdd) if !before(id) && !rdd.isCheckpointed => id }.toSet, result.id)
+    }
+    for (mode <- Seq(VertexCentric(3), blockMode(3))) {
+      val (ac, lmax) = leftBy(AnchoredCoreness.run(g, mode).lmax)
+      assert(ac == Set(lmax), s"AC/${mode.name}: ${ac.size} persisted RDDs left, ${ac - lmax} besides lmax")
+      val (sk, sky) = leftBy(SkylineCoreness.run(g, mode).skyline)
+      assert(sk == Set(sky), s"SC/${mode.name}: ${sk.size} persisted RDDs left, ${sk - sky} besides skyline")
+    }
   }
   test("message accounting: phase totals are positive and deterministic") {
     val edges = GraphGen.randomLocalEdges(30, 100, 33)

@@ -2,12 +2,12 @@ package repro.core
 
 import repro.SparkSpec
 import repro.engine._
+import repro.engine.TestModes.blockMode
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
 
 class SkylineCorenessSpec extends SparkSpec {
 
   private def fig2 = DirectedGraph.fromEdgeList(spark, EG.figure2Edges)
-  private def blockMode(b: Int) = BlockCentric(v => (((v % b) + b) % b).toInt, b)
 
   private lazy val fig2Run: (SkylineCoreness.SCRun, Vector[Map[Long, Vector[(Int, Int)]]]) = {
     var tr: Vector[Map[Long, Vector[(Int, Int)]]] = Vector.empty

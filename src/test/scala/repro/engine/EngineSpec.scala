@@ -63,6 +63,7 @@ object TestPrograms {
 }
 
 class EngineSpec extends SparkSpec {
+  import TestModes.blockMode
   import TestPrograms._
 
   private def adjOf(edges: Seq[(Long, Long)]): RDD[(Long, VertexAdj)] =
@@ -70,8 +71,6 @@ class EngineSpec extends SparkSpec {
 
   private val twoComponents: Seq[(Long, Long)] =
     Seq((1L, 2L), (2L, 3L), (3L, 4L), (10L, 11L), (11L, 12L)) // chains 1-4 and 10-12
-
-  private def blockMode(b: Int) = BlockCentric(v => (((v % b) + b) % b).toInt, b)
 
   test("min-label converges to component minima (vertex-centric)") {
     val r = SuperstepEngine.run(adjOf(twoComponents), MinLabel, VertexCentric(4))
@@ -257,7 +256,14 @@ class EngineSpec extends SparkSpec {
     val long = SuperstepEngine.run(adjOf(path(120)), MinLabel, VertexCentric(3))
     val short = SuperstepEngine.run(adjOf(path(12)), MinLabel, VertexCentric(3))
     assert(long.metrics.rounds > 100 && short.metrics.rounds >= 10)
-    for (r <- Seq(long, short)) {
+    // A later run starts from the first run's vertices: the input keeps the
+    // run's partitioner, so the engine's `partitionBy` adds no shuffle.
+    val chainedInput = long.vertices.mapValues(_._1)
+    assert(chainedInput.partitioner.isDefined && chainedInput.partitioner == long.vertices.partitioner)
+    assert(lineageSize(chainedInput) < 10, s"chained input: ${lineageSize(chainedInput)} RDDs in the lineage")
+    val chained = SuperstepEngine.run(chainedInput, MinLabel, VertexCentric(3))
+    assert(chained.metrics.rounds == long.metrics.rounds)
+    for (r <- Seq(long, short, chained)) {
       val size = lineageSize(r.states)
       assert(size < 10, s"${r.metrics.rounds} rounds: $size RDDs in the lineage")
     }
