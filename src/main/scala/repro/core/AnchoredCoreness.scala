@@ -151,7 +151,7 @@ object AnchoredCoreness {
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
     val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
     val tracing = traceSink.isDefined
-    def record[V](into: mutable.Builder[Map[Long, V], _])(round: Int, st: RDD[(Long, NeighbourFixpoint.State[V])]): Unit =
+    def record[V](into: mutable.Builder[Map[Long, V], _])(st: RDD[(Long, NeighbourFixpoint.State[V])]): Unit =
       if (tracing) into += st.mapValues(_.value).collect().toMap
 
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.

@@ -77,7 +77,7 @@ object SkylineCoreness {
       SCProgram,
       mode,
       maxRounds,
-      onRoundEnd = (_: Int, st: RDD[(Long, NeighbourFixpoint.State[SkylineSet])]) =>
+      onRoundEnd = (st: RDD[(Long, NeighbourFixpoint.State[SkylineSet])]) =>
         if (tracing) trace += st.mapValues(_.value.pairs).collect().toMap
     )
     val sky = main.states.mapValues(_.value.pairs).persist(StorageLevel.MEMORY_AND_DISK)

@@ -73,13 +73,8 @@ final class DirectedGraph private (val edges: DataFrame) extends Serializable {
     */
   def adjacency(): RDD[(Long, VertexAdj)] = {
     val e: RDD[(Long, Long)] = edges.select($"src", $"dst").as[(Long, Long)].rdd
-    val outs = e.map { case (s, d) => (s, d) }.groupByKey(e.getNumPartitions)
-    val ins  = e.map { case (s, d) => (d, s) }.groupByKey(e.getNumPartitions)
-    outs.fullOuterJoin(ins).mapValues { case (o, i) =>
-      VertexAdj(
-        i.map(_.toArray.sorted).getOrElse(Array.empty[Long]),
-        o.map(_.toArray.sorted).getOrElse(Array.empty[Long])
-      )
+    e.cogroup(e.map(_.swap), e.getNumPartitions).mapValues { case (o, i) =>
+      VertexAdj(i.toArray.sorted, o.toArray.sorted)
     }
   }
 

@@ -37,20 +37,34 @@ final case class BlockCentric(assign: Long => Int, numBlocks: Int) extends Engin
   def block(v: Long): Int = Math.floorMod(assign(v), numBlocks)
 }
 
+/** One round's counts, summed over the blocks: messages that crossed a
+  * block boundary (`remote`, the paper's communication), messages delivered
+  * within a block (`local`), and round -> #vertices whose last change was
+  * that round. The histogram is kept every round so the final one comes with
+  * the last round's job instead of a job of its own.
+  */
+final case class RoundCounts(remote: Long, local: Long, lastChangedHist: Map[Int, Long]) {
+  def +(o: RoundCounts): RoundCounts = RoundCounts(
+    remote + o.remote,
+    local + o.local,
+    o.lastChangedHist.foldLeft(lastChangedHist) { case (h, (r, n)) => h.updated(r, h.getOrElse(r, 0L) + n) }
+  )
+}
+
 /** Per-run accounting mirroring the paper's metrics: rounds to converge
   * (Table 4), messages per round / total communication overhead (Figs. 4–7),
   * and the convergence rate — the fraction of vertices whose state is final
-  * after r rounds (Fig. 3).
+  * after r rounds (Fig. 3). `perRound(0)` is the initial broadcast.
   */
-final case class EngineMetrics(
-    mode: String,
-    rounds: Int,
-    remoteMsgsPerRound: Vector[Long], // index 0 = initial broadcast
-    localMsgsPerRound: Vector[Long],
-    changedPerRound: Vector[Long], // index r-1 = vertices changed in round r
-    nVertices: Long,
-    lastChangedHist: Map[Int, Long] // round -> #vertices whose last change was that round
-) {
+final case class EngineMetrics(perRound: Vector[RoundCounts]) {
+  def rounds: Int = perRound.length - 1
+  def remoteMsgsPerRound: Vector[Long] = perRound.map(_.remote)
+  def localMsgsPerRound: Vector[Long] = perRound.map(_.local)
+
+  /** Index r-1: vertices whose state changed in round r and not since. */
+  def changedPerRound: Vector[Long] = (1 to rounds).map(r => perRound(r).lastChangedHist.getOrElse(r, 0L)).toVector
+  def lastChangedHist: Map[Int, Long] = perRound.last.lastChangedHist
+  def nVertices: Long = lastChangedHist.values.sum
   def totalMessages: Long = remoteMsgsPerRound.sum
   def totalLocalMessages: Long = localMsgsPerRound.sum
 
@@ -89,24 +103,6 @@ object SuperstepEngine {
     def states: RDD[(Long, S)] = vertices.mapValues(_._2)
   }
 
-  /** One block's counts for one round. `changed`: vertices whose last change
-    * is this round. The last-changed histogram is kept every round so the
-    * final one comes with the last round's job instead of a job of its own.
-    */
-  private[engine] final case class RoundCounts(
-      remote: Long,
-      local: Long,
-      changed: Long,
-      lastChangedHist: Map[Int, Long]
-  ) {
-    def +(o: RoundCounts): RoundCounts = RoundCounts(
-      remote + o.remote,
-      local + o.local,
-      changed + o.changed,
-      o.lastChangedHist.foldLeft(lastChangedHist) { case (h, (r, n)) => h.updated(r, h.getOrElse(r, 0L) + n) }
-    )
-  }
-
   /** One block after a round; the arrays are aligned to the block's sorted
     * vertex ids. `outbox` holds the messages bound for the next round.
     */
@@ -122,7 +118,7 @@ object SuperstepEngine {
       program: VertexProgram[C, S, M],
       mode: EngineMode,
       maxRounds: Int = 5000,
-      onRoundEnd: (Int, RDD[(Long, S)]) => Unit = (_: Int, _: RDD[(Long, S)]) => ()
+      onRoundEnd: RDD[(Long, S)] => Unit = (_: RDD[(Long, S)]) => ()
   ): RunResult[C, S] = {
     val (part, localDelivery) = mode match {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
@@ -145,26 +141,23 @@ object SuperstepEngine {
       }
 
     // Round 0: initial states and the initial broadcast. In block-centric
-    // mode only the messages that cross a block boundary are communication.
-    var blocks: RDD[Block[S, M]] = context.mapPartitionsWithIndex { (pid, cs) =>
+    // mode only the messages that cross a block boundary are communication;
+    // a message is local when its target is one of the block's vertices, the
+    // rule `stepBlock` applies.
+    var blocks: RDD[Block[S, M]] = context.mapPartitions { cs =>
       val (vids, ctxs) = cs.next()
       val states = Array.tabulate(vids.length)(i => program.initialState(vids(i), ctxs(i)))
       val outbox = vids.indices.iterator.flatMap(i => program.initialMessages(vids(i), ctxs(i), states(i))).toArray
-      val local = if (localDelivery) outbox.count { case (t, _) => part.getPartition(t) == pid }.toLong else 0L
+      val local =
+        if (localDelivery) outbox.count { case (t, _) => java.util.Arrays.binarySearch(vids, t) >= 0 }.toLong else 0L
       val hist = if (vids.isEmpty) Map.empty[Int, Long] else Map(0 -> vids.length.toLong)
-      Iterator(Block(states, new Array[Int](vids.length), outbox, RoundCounts(outbox.length - local, local, 0L, hist)))
+      Iterator(Block(states, new Array[Int](vids.length), outbox, RoundCounts(outbox.length - local, local, hist)))
     }.persist(StorageLevel.MEMORY_AND_DISK)
-    val init = blocks.map(_.counts).reduce(_ + _)
-    val nVertices = init.lastChangedHist.values.sum
 
-    val remotePerRound = Vector.newBuilder[Long]
-    val localPerRound  = Vector.newBuilder[Long]
-    val changedPerRound = Vector.newBuilder[Long]
-    remotePerRound += init.remote
-    localPerRound += init.local
-
-    var last = init
-    var pendingMsgs = init.remote + init.local
+    val first = blocks.map(_.counts).reduce(_ + _)
+    val perRound = Vector.newBuilder[RoundCounts] += first
+    // Round 0's outbox also holds the messages that stay in their block.
+    var pendingMsgs = first.remote + first.local
     var round = 0
 
     while (round < maxRounds && pendingMsgs > 0) {
@@ -178,28 +171,15 @@ object SuperstepEngine {
       // The checkpoint replaces the record's lineage once this round's job
       // has materialised it; only then may the previous record go.
       next.localCheckpoint()
-      last = next.map(_.counts).reduce(_ + _)
+      val counts = next.map(_.counts).reduce(_ + _)
       blocks.unpersist(blocking = false)
       blocks = next
-
-      remotePerRound += last.remote
-      localPerRound += last.local
-      changedPerRound += last.changed
-      pendingMsgs = last.remote
-      onRoundEnd(round, verticesOf(blocks).mapValues(_._2))
+      perRound += counts
+      pendingMsgs = counts.remote
+      onRoundEnd(verticesOf(blocks).mapValues(_._2))
     }
     require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
-
-    val metrics = EngineMetrics(
-      mode.name,
-      round,
-      remotePerRound.result(),
-      localPerRound.result(),
-      changedPerRound.result(),
-      nVertices,
-      last.lastChangedHist
-    )
-    RunResult(verticesOf(blocks), metrics)
+    RunResult(verticesOf(blocks), EngineMetrics(perRound.result()))
   }
 
   /** One superstep of one block, without Spark: deliver `inbox` (messages
@@ -260,8 +240,7 @@ object SuperstepEngine {
       active = if (localDelivery) (0 until n).filter(wanted) else IndexedSeq.empty
     }
 
-    val hist = lastChanged.groupMapReduce(identity)(_ => 1L)(_ + _)
     Block(states, lastChanged, outbox.toArray,
-      RoundCounts(outbox.length.toLong, local, lastChanged.count(_ == round).toLong, hist))
+      RoundCounts(outbox.length.toLong, local, lastChanged.groupMapReduce(identity)(_ => 1L)(_ + _)))
   }
 }

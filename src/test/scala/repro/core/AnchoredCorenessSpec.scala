@@ -116,6 +116,10 @@ class AnchoredCorenessSpec extends SparkSpec {
       GraphGen.randomLocalEdges(15, 40, 8).map { case (u, v) => (u + 100, v + 100) }
     checkAgainstPeeling(edges, VertexCentric(3), "AC-V disconnected")
   }
+  test("AC on the empty graph and a 2-cycle matches peeling in both modes") {
+    for (mode <- Seq(VertexCentric(3), blockMode(3)); edges <- Seq(Seq.empty[(Long, Long)], Seq((1L, 2L), (2L, 1L))))
+      checkAgainstPeeling(edges, mode, s"AC/${mode.name} on ${edges.size} edges")
+  }
   test("AC on a directed cycle (every coreness is (1,1))") {
     val cycle = (0L until 10L).map(i => (i, (i + 1) % 10))
     val g = DirectedGraph.fromEdgeList(spark, cycle)

@@ -67,6 +67,10 @@ class SkylineCorenessSpec extends SparkSpec {
   test("SC on a denser random graph") {
     checkSkyline(GraphGen.randomLocalEdges(18, 160, 55), VertexCentric(3), "SC-V dense")
   }
+  test("SC on the empty graph and a 2-cycle matches peeling in both modes") {
+    for (mode <- Seq(VertexCentric(3), blockMode(3)); edges <- Seq(Seq.empty[(Long, Long)], Seq((1L, 2L), (2L, 1L))))
+      checkSkyline(edges, mode, s"SC/${mode.name} on ${edges.size} edges")
+  }
   test("SC on a directed cycle: SC(v) = {(1,1)}") {
     val cycle = (0L until 10L).map(i => (i, (i + 1) % 10))
     val got = SkylineCoreness.run(DirectedGraph.fromEdgeList(spark, cycle), VertexCentric(2))

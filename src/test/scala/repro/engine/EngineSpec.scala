@@ -147,6 +147,19 @@ class EngineSpec extends SparkSpec {
     assert(r.metrics.remoteMsgsPerRound.head == 2L)
   }
 
+  test("an empty graph takes no rounds and sends nothing") {
+    for (mode <- Seq(VertexCentric(3), blockMode(3))) {
+      val r = SuperstepEngine.run(adjOf(Seq.empty), MinLabel, mode)
+      val m = r.metrics
+      assert(m.rounds == 0, mode.name)
+      assert(m.remoteMsgsPerRound == Vector(0L), mode.name)
+      assert(m.changedPerRound.isEmpty, mode.name)
+      assert(m.nVertices == 0L, mode.name)
+      assert(m.convergenceRate(0) == 1.0, mode.name)
+      assert(r.states.isEmpty(), mode.name)
+    }
+  }
+
   test("metrics: convergence rate reaches 1 and is monotone") {
     val edges = GraphGen.randomLocalEdges(60, 150, 12)
     val m = SuperstepEngine.run(adjOf(edges), MinLabel, VertexCentric(4)).metrics
@@ -191,7 +204,7 @@ class EngineSpec extends SparkSpec {
       adjOf(Seq((1L, 2L), (2L, 3L), (3L, 4L))),
       MinLabel,
       VertexCentric(2),
-      onRoundEnd = (_: Int, st: RDD[(Long, Long)]) => seen += st.collect().toMap
+      onRoundEnd = (st: RDD[(Long, Long)]) => seen += st.collect().toMap
     )
     val snaps = seen.result()
     assert(snaps.nonEmpty)
