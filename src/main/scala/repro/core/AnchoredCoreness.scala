@@ -20,7 +20,7 @@ object HIndexProgram {
   case object In extends Direction
   case object Out extends Direction
 
-  def apply(dir: Direction): VertexProgram[VertexAdj, NeighbourFixpoint.State[Int], (Long, Int)] =
+  def apply(dir: Direction): NeighbourFixpoint[VertexAdj, Int] =
     new NeighbourFixpoint[VertexAdj, Int] {
       def inN(a: VertexAdj): Array[Long] = if (dir == In) a.inN else Array.emptyLongArray
       def outN(a: VertexAdj): Array[Long] = if (dir == Out) a.outN else Array.emptyLongArray
@@ -151,8 +151,8 @@ object AnchoredCoreness {
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
     val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
     val tracing = traceSink.isDefined
-    def record[V](into: mutable.Builder[Map[Long, V], _])(st: RDD[(Long, NeighbourFixpoint.State[V])]): Unit =
-      if (tracing) into += st.mapValues(_.value).collect().toMap
+    def record[V](into: mutable.Builder[Map[Long, V], _])(values: RDD[(Long, V)]): Unit =
+      if (tracing) into += values.collect().toMap
 
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.
     val p1 = SuperstepEngine.run(
@@ -185,11 +185,11 @@ object AnchoredCoreness {
       maxRounds,
       onRoundEnd = record(t3) _
     )
-    val lmax = p3.states.mapValues(_.value).persist(StorageLevel.MEMORY_AND_DISK)
+    val lmax = p3.values.persist(StorageLevel.MEMORY_AND_DISK)
     lmax.count()
 
     traceSink.foreach(sink => sink(Trace(t1.result(), t2.result(), t3.result())))
-    ACRun(lmax, p1.states.mapValues(_.value), p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
+    ACRun(lmax, p1.values, p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
   }
 
   /** kmax(v) for every vertex (Phase I only) — also the per-vertex
@@ -197,12 +197,12 @@ object AnchoredCoreness {
     */
   def inCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
     val r = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.In), mode)
-    (r.states.mapValues(_.value), r.metrics)
+    (r.values, r.metrics)
   }
 
   /** lmax(v) = out-coreness (Theorem 5.2) — Table 3's l_max column. */
   def outCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
     val r = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.Out), mode)
-    (r.states.mapValues(_.value), r.metrics)
+    (r.values, r.metrics)
   }
 }

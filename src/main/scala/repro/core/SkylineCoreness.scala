@@ -68,7 +68,7 @@ object SkylineCoreness {
     // partitioner, so neither the second run nor the join shuffles.
     val rIn  = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.In), mode, maxRounds)
     val rOut = SuperstepEngine.run(rIn.vertices.mapValues(_._1), HIndexProgram(HIndexProgram.Out), mode, maxRounds)
-    val ctx = rOut.vertices.join(rIn.states).mapValues { case ((a, out), in) => SCCtx(a, in.value, out.value) }
+    val ctx = rOut.vertices.join(rIn.values).mapValues { case ((a, out), k0) => SCCtx(a, k0, out.value) }
 
     val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
     val tracing = traceSink.isDefined
@@ -77,10 +77,10 @@ object SkylineCoreness {
       SCProgram,
       mode,
       maxRounds,
-      onRoundEnd = (st: RDD[(Long, NeighbourFixpoint.State[SkylineSet])]) =>
-        if (tracing) trace += st.mapValues(_.value.pairs).collect().toMap
+      onRoundEnd = (values: RDD[(Long, SkylineSet)]) =>
+        if (tracing) trace += values.mapValues(_.pairs).collect().toMap
     )
-    val sky = main.states.mapValues(_.value.pairs).persist(StorageLevel.MEMORY_AND_DISK)
+    val sky = main.values.mapValues(_.pairs).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
     traceSink.foreach(sink => sink(trace.result()))
     SCRun(sky, rIn.metrics, rOut.metrics, main.metrics)

@@ -7,21 +7,6 @@ import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
-/** A vertex program in the Pregel/GRAPE sense (paper Sec. 2): per-vertex
-  * state `S`, read-only per-vertex context `C` (typically adjacency), and
-  * messages `M` exchanged along edges. A vertex is inactive until it
-  * receives a message.
-  */
-trait VertexProgram[C, S, M] extends Serializable {
-  def initialState(vid: Long, ctx: C): S
-
-  /** Broadcast performed once before superstep 1 (e.g. Alg. 2 line 4). */
-  def initialMessages(vid: Long, ctx: C, s: S): Iterator[(Long, M)]
-
-  /** One vertex update: returns (new state, outbound messages, changed?). */
-  def compute(vid: Long, ctx: C, s: S, msgs: Seq[M]): (S, Iterator[(Long, M)], Boolean)
-}
-
 /** Execution mode. `VertexCentric`: every message crosses the network and is
   * delivered next superstep. `BlockCentric`: vertices are grouped into
   * blocks (= Spark partitions here, standing in for machines); messages
@@ -83,43 +68,47 @@ private final case class BlockPartitioner(mode: BlockCentric) extends Partitione
   def getPartition(key: Any): Int = mode.block(key.asInstanceOf[Long])
 }
 
-/** Synchronous superstep executor over Spark RDDs.
+/** Synchronous superstep executor over Spark RDDs for `NeighbourFixpoint`
+  * programs.
   *
   * Every RDD in a run holds one record per partition (= block): the context
   * as two arrays sorted by vertex id, and per round a `Block` of states,
-  * last-changed rounds and outbound messages aligned to that order. Each
-  * round shuffles the previous round's outbox to its target blocks with
-  * `partitionBy` (no aggregator, so the reader streams plain records), zips
-  * context, previous record and inbox partition by partition, and runs
-  * `stepBlock` on them.
+  * last-changed rounds and outbound `(target, (sender, value))` messages
+  * aligned to that order. Each round shuffles the previous round's outbox to
+  * its target blocks with `partitionBy` (no aggregator, so the reader streams
+  * plain records), zips context, previous record and inbox partition by
+  * partition, and runs `stepBlock` on them. `stepBlock` writes each message
+  * into its target's neighbour tables, in arrival order, so a later message
+  * from one sender wins; mail within a block lands at the next sub-iteration.
   * Each round's record is local-checkpointed, so no task carries more than
   * one round of lineage. Terminates when no messages are in flight — the
   * paper's "no vertex broadcasts messages" condition.
   */
 object SuperstepEngine {
+  import NeighbourFixpoint.State
 
   /** Each vertex's context and final state, partitioned as the run was. */
-  final case class RunResult[C, S](vertices: RDD[(Long, (C, S))], metrics: EngineMetrics) {
-    def states: RDD[(Long, S)] = vertices.mapValues(_._2)
+  final case class RunResult[C, V](vertices: RDD[(Long, (C, State[V]))], metrics: EngineMetrics) {
+    def values: RDD[(Long, V)] = vertices.mapValues(_._2.value)
   }
 
   /** One block after a round; the arrays are aligned to the block's sorted
     * vertex ids. `outbox` holds the messages bound for the next round.
     */
-  private[engine] final case class Block[S, M](
-      states: Array[S],
+  private[engine] final case class Block[V](
+      states: Array[State[V]],
       lastChanged: Array[Int],
-      outbox: Array[(Long, M)],
+      outbox: Array[(Long, (Long, V))],
       counts: RoundCounts
   )
 
-  def run[C: ClassTag, S: ClassTag, M: ClassTag](
+  def run[C: ClassTag, V: ClassTag](
       vertices: RDD[(Long, C)],
-      program: VertexProgram[C, S, M],
+      program: NeighbourFixpoint[C, V],
       mode: EngineMode,
       maxRounds: Int = 5000,
-      onRoundEnd: RDD[(Long, S)] => Unit = (_: RDD[(Long, S)]) => ()
-  ): RunResult[C, S] = {
+      onRoundEnd: RDD[(Long, V)] => Unit = (_: RDD[(Long, V)]) => ()
+  ): RunResult[C, V] = {
     val (part, localDelivery) = mode match {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
       case b: BlockCentric    => (BlockPartitioner(b): Partitioner, true)
@@ -134,20 +123,25 @@ object SuperstepEngine {
     )
     context.localCheckpoint()
 
-    def verticesOf(blocks: RDD[Block[S, M]]): RDD[(Long, (C, S))] =
+    def verticesOf(blocks: RDD[Block[V]]): RDD[(Long, (C, State[V]))] =
       context.zipPartitions(blocks, preservesPartitioning = true) { (cs, bs) =>
         val (vids, ctxs) = cs.next()
         vids.iterator.zip(ctxs.iterator.zip(bs.next().states.iterator))
       }
 
-    // Round 0: initial states and the initial broadcast. In block-centric
-    // mode only the messages that cross a block boundary are communication;
-    // a message is local when its target is one of the block's vertices, the
-    // rule `stepBlock` applies.
-    var blocks: RDD[Block[S, M]] = context.mapPartitions { cs =>
+    // Round 0: initial states and every vertex's initial broadcast. In
+    // block-centric mode only the messages that cross a block boundary are
+    // communication; a message is local when its target is one of the
+    // block's vertices, the rule `stepBlock` applies.
+    var blocks: RDD[Block[V]] = context.mapPartitions { cs =>
       val (vids, ctxs) = cs.next()
-      val states = Array.tabulate(vids.length)(i => program.initialState(vids(i), ctxs(i)))
-      val outbox = vids.indices.iterator.flatMap(i => program.initialMessages(vids(i), ctxs(i), states(i))).toArray
+      val states = Array.tabulate(vids.length) { i =>
+        val c = ctxs(i)
+        State(program.init(vids(i), c), new Array[V](program.inN(c).length), new Array[V](program.outN(c).length))
+      }
+      val outbox = vids.indices.iterator.flatMap { i =>
+        program.receivers(ctxs(i)).iterator.map(t => (t, (vids(i), states(i).value)))
+      }.toArray
       val local =
         if (localDelivery) outbox.count { case (t, _) => java.util.Arrays.binarySearch(vids, t) >= 0 }.toLong else 0L
       val hist = if (vids.isEmpty) Map.empty[Int, Long] else Map(0 -> vids.length.toLong)
@@ -176,68 +170,84 @@ object SuperstepEngine {
       blocks = next
       perRound += counts
       pendingMsgs = counts.remote
-      onRoundEnd(verticesOf(blocks).mapValues(_._2))
+      onRoundEnd(verticesOf(blocks).mapValues(_._2.value))
     }
     require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
     RunResult(verticesOf(blocks), EngineMetrics(perRound.result()))
   }
 
-  /** One superstep of one block, without Spark: deliver `inbox` (messages
-    * keyed by target vertex) and run the vertex program on every vertex that
-    * received a message. In block-centric mode (`localDelivery`), messages
-    * to a vertex of the same block are delivered to the next *sub-iteration*
-    * rather than the next round, until the block settles; every other
-    * message goes to the outbox.
+  /** One superstep of one block, without Spark. Each `(target, (sender,
+    * value))` of `inbox` is written into the target's neighbour tables in
+    * arrival order, so a later message from one sender wins; a vertex's
+    * tables are copied at its first message of the round, so `prev` stays
+    * intact. Then `update` runs on every vertex that got mail, and each one
+    * that changed broadcasts its new value. In block-centric mode
+    * (`localDelivery`), a message to a vertex of the same block is written
+    * once every vertex of the sub-iteration has run, and the block repeats
+    * until it settles; every other message goes to the outbox.
     */
-  private[engine] def stepBlock[C, S, M](
+  private[engine] def stepBlock[C, V](
       round: Int,
       block: Int,
       vids: Array[Long],
       ctxs: Array[C],
-      prev: Block[S, M],
-      inbox: Iterator[(Long, M)],
-      program: VertexProgram[C, S, M],
+      prev: Block[V],
+      inbox: Iterator[(Long, (Long, V))],
+      program: NeighbourFixpoint[C, V],
       localDelivery: Boolean,
       maxRounds: Int
-  ): Block[S, M] = {
+  ): Block[V] = {
     val n = vids.length
     val states = prev.states.clone()
     val lastChanged = prev.lastChanged.clone()
-    val outbox = mutable.ArrayBuffer.empty[(Long, M)]
+    val outbox = mutable.ArrayBuffer.empty[(Long, (Long, V))]
     var local = 0L
 
-    var msgs = new Array[mutable.ArrayBuffer[M]](n)
-    inbox.foreach { case (t, m) =>
+    val hasMail = new Array[Boolean](n)
+    def deliver(i: Int, sender: Long, x: V): Unit = {
+      if (states(i) eq prev.states(i)) {
+        val s = states(i)
+        states(i) = State(s.value, s.in.clone(), s.out.clone())
+      }
+      val s = states(i)
+      val a = java.util.Arrays.binarySearch(program.inN(ctxs(i)), sender)
+      if (a >= 0) s.in(a) = x
+      val b = java.util.Arrays.binarySearch(program.outN(ctxs(i)), sender)
+      if (b >= 0) s.out(b) = x
+      hasMail(i) = true
+    }
+
+    inbox.foreach { case (t, (u, x)) =>
       val i = java.util.Arrays.binarySearch(vids, t)
       require(i >= 0, s"round $round: message sent to unknown vertex $t")
-      if (msgs(i) == null) msgs(i) = mutable.ArrayBuffer.empty
-      msgs(i) += m
+      deliver(i, u, x)
     }
-    // A vertex runs when it has mail; block-centric mode re-applies the rule
-    // every sub-iteration.
-    def wanted(i: Int): Boolean = msgs(i) != null
-    var active = (0 until n).filter(wanted)
 
+    var active = (0 until n).filter(hasMail)
     var subIter = 0
     while (active.nonEmpty) {
       subIter += 1
       require(subIter <= maxRounds, s"round $round: block $block did not settle within $maxRounds local sub-iterations")
-      val nextMsgs = new Array[mutable.ArrayBuffer[M]](n)
+      java.util.Arrays.fill(hasMail, false)
+      val changed = mutable.ArrayBuffer.empty[Int]
       for (i <- active) {
-        val (s2, out, ch) = program.compute(vids(i), ctxs(i), states(i), msgs(i).toSeq)
-        states(i) = s2
-        if (ch) lastChanged(i) = round
-        out.foreach { case (t, m) =>
-          val j = if (localDelivery) java.util.Arrays.binarySearch(vids, t) else -1
-          if (j >= 0) {
-            if (nextMsgs(j) == null) nextMsgs(j) = mutable.ArrayBuffer.empty
-            nextMsgs(j) += m
-            local += 1
-          } else outbox += ((t, m))
+        val s = states(i)
+        program.update(ctxs(i), s.value, s.in, s.out).foreach { v =>
+          states(i) = s.copy(value = v)
+          lastChanged(i) = round
+          changed += i
         }
       }
-      msgs = nextMsgs
-      active = if (localDelivery) (0 until n).filter(wanted) else IndexedSeq.empty
+      // Broadcasts go out only after every vertex with mail has run, so all
+      // of them read the same tables (Jacobi order).
+      for (i <- changed; t <- program.receivers(ctxs(i))) {
+        val j = if (localDelivery) java.util.Arrays.binarySearch(vids, t) else -1
+        if (j >= 0) {
+          deliver(j, vids(i), states(i).value)
+          local += 1
+        } else outbox += ((t, (vids(i), states(i).value)))
+      }
+      active = (0 until n).filter(hasMail)
     }
 
     Block(states, lastChanged, outbox.toArray,

@@ -48,7 +48,7 @@ class CorenessOracleSpec extends SparkSpec {
       "skyline" -> skylineDF,
       "anchored" -> anchoredDF
     )
-    assert(sparkSide.head.getLong(0) == 0L)
+    assert(sparkSide.head().getLong(0) == 0L)
   }
 
   test("(1,1)-core members satisfy Def. 3.1 in SQL (in-degree side)") {

@@ -110,7 +110,7 @@ class SkylineCorenessSpec extends SparkSpec {
       for (((k, l), expect) <- cores)
         assert(Coreness.coreFromSkyline(sky, k, l) == expect, s"seed=$seed ($k,$l)")
       // and (k,l) outside any core is empty
-      val kTop = cores.keys.map(_._1).max; val lTop = cores.keys.map(_._2).max
+      val kTop = cores.keys.map(_._1).max
       assert(Coreness.coreFromSkyline(sky, kTop + 1, 0).isEmpty || cores.contains((kTop + 1, 0)))
     }
   }

@@ -10,55 +10,60 @@ import repro.SparkSpec
 import repro.core.HIndexProgram
 import repro.graphgen.{ExampleGraphs => EG, GraphGen}
 
-/** Engine-semantics tests using two tiny programs: weakly-connected min-label
-  * propagation (message-driven convergence) and a countdown that would keep
-  * changing if it ran without mail.
+/** Engine-semantics tests using tiny programs: weakly-connected min-label
+  * propagation (message-driven convergence), a countdown that would keep
+  * changing if it ran without mail, a message to a vertex outside the graph,
+  * and a block that never settles.
   */
 object TestPrograms {
 
+  /** Reads every neighbour and feeds them all. */
+  trait Undirected[V] extends NeighbourFixpoint[VertexAdj, V] {
+    def inN(a: VertexAdj): Array[Long] = a.inN
+    def outN(a: VertexAdj): Array[Long] = a.outN
+    def receivers(a: VertexAdj): Array[Long] = a.distinctNeighbors
+  }
+
   /** Min vertex id over the weakly connected component. */
-  object MinLabel extends VertexProgram[VertexAdj, Long, Long] {
-    def initialState(vid: Long, a: VertexAdj): Long = vid
-    def initialMessages(vid: Long, a: VertexAdj, s: Long): Iterator[(Long, Long)] =
-      a.distinctNeighbors.iterator.map(t => (t, s))
-    def compute(vid: Long, a: VertexAdj, s: Long, msgs: Seq[Long]): (Long, Iterator[(Long, Long)], Boolean) = {
-      val m = (s +: msgs).min
-      if (m < s) (m, a.distinctNeighbors.iterator.map(t => (t, m)), true)
-      else (s, Iterator.empty, false)
+  object MinLabel extends Undirected[Long] {
+    def init(vid: Long, a: VertexAdj): Long = vid
+    def update(a: VertexAdj, s: Long, in: Array[Long], out: Array[Long]): Option[Long] = {
+      val m = (in ++ out).foldLeft(s)(math.min)
+      if (m < s) Some(m) else None
     }
   }
 
-  /** Decrements its state by 1 per activation until it reaches its degree;
-    * sends nothing after the initial poke, so each vertex runs once.
+  /** Decrements its value by 1 per activation while it exceeds its degree,
+    * and feeds only its out-neighbours, so it would keep changing if it ran
+    * in a round without mail.
     */
-  final class Countdown(start: Int) extends VertexProgram[VertexAdj, Int, Int] {
-    def initialState(vid: Long, a: VertexAdj): Int = start
-    def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] =
-      a.distinctNeighbors.iterator.map(t => (t, 0))
-    def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
-      if (s > a.inDeg + a.outDeg) (s - 1, Iterator.empty, true) else (s, Iterator.empty, false)
+  final class Countdown(start: Int) extends NeighbourFixpoint[VertexAdj, Int] {
+    def inN(a: VertexAdj): Array[Long] = a.inN
+    def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
+    def receivers(a: VertexAdj): Array[Long] = a.outN
+    def init(vid: Long, a: VertexAdj): Int = start
+    def update(a: VertexAdj, s: Int, in: Array[Int], out: Array[Int]): Option[Int] =
+      if (s > a.inDeg + a.outDeg) Some(s - 1) else None
   }
 
   /** Every vertex addresses its initial message to `Stray`, an id outside
     * the graph.
     */
-  object StrayMessage extends VertexProgram[VertexAdj, Int, Int] {
+  object StrayMessage extends NeighbourFixpoint[VertexAdj, Int] {
     val Stray = 999L
-    def initialState(vid: Long, a: VertexAdj): Int = 0
-    def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] = Iterator((Stray, 1))
-    def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
-      (s, Iterator.empty, false)
+    def inN(a: VertexAdj): Array[Long] = Array.emptyLongArray
+    def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
+    def receivers(a: VertexAdj): Array[Long] = Array(Stray)
+    def init(vid: Long, a: VertexAdj): Int = 0
+    def update(a: VertexAdj, s: Int, in: Array[Int], out: Array[Int]): Option[Int] = None
   }
 
   /** Every activation changes the vertex and messages all its neighbours,
     * so neighbours in one block keep waking each other and never settle.
     */
-  object PingPong extends VertexProgram[VertexAdj, Int, Int] {
-    def initialState(vid: Long, a: VertexAdj): Int = 0
-    def initialMessages(vid: Long, a: VertexAdj, s: Int): Iterator[(Long, Int)] =
-      a.distinctNeighbors.iterator.map(t => (t, s))
-    def compute(vid: Long, a: VertexAdj, s: Int, msgs: Seq[Int]): (Int, Iterator[(Long, Int)], Boolean) =
-      (s + 1, a.distinctNeighbors.iterator.map(t => (t, s + 1)), true)
+  object PingPong extends Undirected[Int] {
+    def init(vid: Long, a: VertexAdj): Int = 0
+    def update(a: VertexAdj, s: Int, in: Array[Int], out: Array[Int]): Option[Int] = Some(s + 1)
   }
 }
 
@@ -74,20 +79,20 @@ class EngineSpec extends SparkSpec {
 
   test("min-label converges to component minima (vertex-centric)") {
     val r = SuperstepEngine.run(adjOf(twoComponents), MinLabel, VertexCentric(4))
-    val s = r.states.collect().toMap
+    val s = r.values.collect().toMap
     assert(s == Map(1L -> 1L, 2L -> 1L, 3L -> 1L, 4L -> 1L, 10L -> 10L, 11L -> 10L, 12L -> 10L))
   }
 
   test("min-label converges to component minima (block-centric)") {
     val r = SuperstepEngine.run(adjOf(twoComponents), MinLabel, blockMode(3))
-    val s = r.states.collect().toMap
+    val s = r.values.collect().toMap
     assert(s.forall { case (v, lbl) => lbl == (if (v < 10) 1L else 10L) })
   }
 
   test("vertex- and block-centric agree on figure 2") {
     val adj = adjOf(EG.figure2Edges)
-    val v = SuperstepEngine.run(adj, MinLabel, VertexCentric(4)).states.collect().toMap
-    val b = SuperstepEngine.run(adjOf(EG.figure2Edges), MinLabel, blockMode(4)).states.collect().toMap
+    val v = SuperstepEngine.run(adj, MinLabel, VertexCentric(4)).values.collect().toMap
+    val b = SuperstepEngine.run(adjOf(EG.figure2Edges), MinLabel, blockMode(4)).values.collect().toMap
     assert(v == b)
   }
 
@@ -126,18 +131,18 @@ class EngineSpec extends SparkSpec {
 
   test("results are independent of the partition count") {
     val edges = GraphGen.randomLocalEdges(50, 120, 10)
-    val a = SuperstepEngine.run(adjOf(edges), MinLabel, VertexCentric(2)).states.collect().toMap
-    val b = SuperstepEngine.run(adjOf(edges), MinLabel, VertexCentric(7)).states.collect().toMap
+    val a = SuperstepEngine.run(adjOf(edges), MinLabel, VertexCentric(2)).values.collect().toMap
+    val b = SuperstepEngine.run(adjOf(edges), MinLabel, VertexCentric(7)).values.collect().toMap
     assert(a == b)
   }
 
   test("results are independent of the block partitioner") {
     val edges = GraphGen.randomLocalEdges(50, 120, 11)
     val fennel = Partitioners.fennel(edges, 4)
-    val a = SuperstepEngine.run(adjOf(edges), MinLabel, blockMode(4)).states.collect().toMap
+    val a = SuperstepEngine.run(adjOf(edges), MinLabel, blockMode(4)).values.collect().toMap
     val b = SuperstepEngine
       .run(adjOf(edges), MinLabel, BlockCentric(fennel.assign, 4))
-      .states.collect().toMap
+      .values.collect().toMap
     assert(a == b)
   }
 
@@ -156,7 +161,7 @@ class EngineSpec extends SparkSpec {
       assert(m.changedPerRound.isEmpty, mode.name)
       assert(m.nVertices == 0L, mode.name)
       assert(m.convergenceRate(0) == 1.0, mode.name)
-      assert(r.states.isEmpty(), mode.name)
+      assert(r.values.isEmpty(), mode.name)
     }
   }
 
@@ -178,9 +183,9 @@ class EngineSpec extends SparkSpec {
 
   test("a vertex without mail does not run") {
     val r = SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L))), new Countdown(10), VertexCentric(2))
-    val s = r.states.collect().toMap
-    // each vertex computes at most once (single poke message), so at most one decrement
-    assert(s.values.forall(v => v >= 9))
+    // 1 gets no mail; 2 hears from 1 once; 3 hears from 2 twice (its initial
+    // value, then the one it changed to).
+    assert(r.values.collect().toMap == Map(1L -> 10, 2L -> 9, 3L -> 8))
   }
 
   test("engine enforces maxRounds") {
@@ -204,7 +209,7 @@ class EngineSpec extends SparkSpec {
       adjOf(Seq((1L, 2L), (2L, 3L), (3L, 4L))),
       MinLabel,
       VertexCentric(2),
-      onRoundEnd = (st: RDD[(Long, Long)]) => seen += st.collect().toMap
+      onRoundEnd = (values: RDD[(Long, Long)]) => seen += values.collect().toMap
     )
     val snaps = seen.result()
     assert(snaps.nonEmpty)
@@ -218,7 +223,7 @@ class EngineSpec extends SparkSpec {
     Seq(m.remoteMsgsPerRound, m.localMsgsPerRound, m.changedPerRound).map(_.mkString(",")).mkString(" | ") +
       " | " + m.lastChangedHist.toSeq.sorted.map { case (r, n) => s"$r:$n" }.mkString(",")
 
-  private def accountingOf[S: ClassTag, M: ClassTag](edges: Seq[(Long, Long)], p: VertexProgram[VertexAdj, S, M], mode: EngineMode) =
+  private def accountingOf[V: ClassTag](edges: Seq[(Long, Long)], p: NeighbourFixpoint[VertexAdj, V], mode: EngineMode) =
     accounting(SuperstepEngine.run(adjOf(edges), p, mode).metrics)
 
   test("per-round accounting matches the pinned values") {
@@ -253,7 +258,7 @@ class EngineSpec extends SparkSpec {
     val chain = (0L until 120L).sliding(2).map(s => (s(1), s(0))).toSeq
     val r = SuperstepEngine.run(adjOf(chain), MinLabel, VertexCentric(3))
     assert(r.metrics.rounds > 100)
-    assert(r.states.collect().toMap.values.forall(_ == 0L))
+    assert(r.values.collect().toMap.values.forall(_ == 0L))
   }
 
   /** Distinct RDDs reachable from `rdd` through its dependencies. */
@@ -277,7 +282,7 @@ class EngineSpec extends SparkSpec {
     val chained = SuperstepEngine.run(chainedInput, MinLabel, VertexCentric(3))
     assert(chained.metrics.rounds == long.metrics.rounds)
     for (r <- Seq(long, short, chained)) {
-      val size = lineageSize(r.states)
+      val size = lineageSize(r.values)
       assert(size < 10, s"${r.metrics.rounds} rounds: $size RDDs in the lineage")
     }
   }

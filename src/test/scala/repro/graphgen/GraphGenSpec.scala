@@ -1,7 +1,7 @@
 package repro.graphgen
 
 import repro.SparkSpec
-import repro.core.{LocalGraph, Peeling}
+import repro.core.Peeling
 
 class GraphGenSpec extends SparkSpec {
 
