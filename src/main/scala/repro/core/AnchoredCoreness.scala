@@ -150,9 +150,10 @@ object AnchoredCoreness {
     val t1 = Vector.newBuilder[Map[Long, Int]]
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
     val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
-    val tracing = traceSink.isDefined
-    def record[V](into: mutable.Builder[Map[Long, V], _])(values: RDD[(Long, V)]): Unit =
-      if (tracing) into += values.collect().toMap
+    // Only a traced run observes its rounds; otherwise the engine builds no
+    // per-round view.
+    def record[V](into: mutable.Builder[Map[Long, V], _]): Option[RDD[(Long, V)] => Unit] =
+      traceSink.map(_ => values => into += values.collect().toMap)
 
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.
     val p1 = SuperstepEngine.run(
@@ -160,7 +161,7 @@ object AnchoredCoreness {
       HIndexProgram(HIndexProgram.In),
       mode,
       maxRounds,
-      onRoundEnd = record(t1) _
+      onRoundEnd = record(t1)
     )
 
     // ---- kmax exchange: every vertex tells each neighbor its kmax so that
@@ -174,7 +175,7 @@ object AnchoredCoreness {
       Phase2Program,
       mode,
       maxRounds,
-      onRoundEnd = record(t2) _
+      onRoundEnd = record(t2)
     )
 
     // ---- Phase III: refine to exact lmax(k, v).
@@ -183,7 +184,7 @@ object AnchoredCoreness {
       Phase3Program,
       mode,
       maxRounds,
-      onRoundEnd = record(t3) _
+      onRoundEnd = record(t3)
     )
     val lmax = p3.values.persist(StorageLevel.MEMORY_AND_DISK)
     lmax.count()

@@ -71,15 +71,8 @@ object SkylineCoreness {
     val ctx = rOut.vertices.join(rIn.values).mapValues { case ((a, out), k0) => SCCtx(a, k0, out.value) }
 
     val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
-    val tracing = traceSink.isDefined
-    val main = SuperstepEngine.run(
-      ctx,
-      SCProgram,
-      mode,
-      maxRounds,
-      onRoundEnd = (values: RDD[(Long, SkylineSet)]) =>
-        if (tracing) trace += values.mapValues(_.pairs).collect().toMap
-    )
+    def record(values: RDD[(Long, SkylineSet)]): Unit = trace += values.mapValues(_.pairs).collect().toMap
+    val main = SuperstepEngine.run(ctx, SCProgram, mode, maxRounds, onRoundEnd = traceSink.map(_ => record _))
     val sky = main.values.mapValues(_.pairs).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
     traceSink.foreach(sink => sink(trace.result()))

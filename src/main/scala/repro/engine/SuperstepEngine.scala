@@ -79,7 +79,8 @@ private final case class BlockPartitioner(mode: BlockCentric) extends Partitione
   * plain records), zips context, previous record and inbox partition by
   * partition, and runs `stepBlock` on them. `stepBlock` writes each message
   * into its target's neighbour tables, in arrival order, so a later message
-  * from one sender wins; mail within a block lands at the next sub-iteration.
+  * from one sender wins; mail within a block lands at the next sub-iteration,
+  * and the outbox is built once the block has settled, from the final values.
   * Each round's record is local-checkpointed, so no task carries more than
   * one round of lineage. Terminates when no messages are in flight — the
   * paper's "no vertex broadcasts messages" condition.
@@ -107,7 +108,7 @@ object SuperstepEngine {
       program: NeighbourFixpoint[C, V],
       mode: EngineMode,
       maxRounds: Int = 5000,
-      onRoundEnd: RDD[(Long, V)] => Unit = (_: RDD[(Long, V)]) => ()
+      onRoundEnd: Option[RDD[(Long, V)] => Unit] = None
   ): RunResult[C, V] = {
     val (part, localDelivery) = mode match {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
@@ -170,7 +171,7 @@ object SuperstepEngine {
       blocks = next
       perRound += counts
       pendingMsgs = counts.remote
-      onRoundEnd(verticesOf(blocks).mapValues(_._2.value))
+      onRoundEnd.foreach(_(verticesOf(blocks).mapValues(_._2.value)))
     }
     require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
     RunResult(verticesOf(blocks), EngineMetrics(perRound.result()))
@@ -180,11 +181,13 @@ object SuperstepEngine {
     * value))` of `inbox` is written into the target's neighbour tables in
     * arrival order, so a later message from one sender wins; a vertex's
     * tables are copied at its first message of the round, so `prev` stays
-    * intact. Then `update` runs on every vertex that got mail, and each one
-    * that changed broadcasts its new value. In block-centric mode
-    * (`localDelivery`), a message to a vertex of the same block is written
-    * once every vertex of the sub-iteration has run, and the block repeats
-    * until it settles; every other message goes to the outbox.
+    * intact. Then `update` runs on every vertex that got mail. In
+    * block-centric mode (`localDelivery`), each one that changed sends its
+    * new value to the receivers in its block, written once every vertex of
+    * the sub-iteration has run, and the block repeats until it settles. Then
+    * each vertex that changed this round puts its final value in the outbox
+    * once for every other receiver, so a receiver outside the block hears
+    * one value per sender and round.
     */
   private[engine] def stepBlock[C, V](
       round: Int,
@@ -200,7 +203,6 @@ object SuperstepEngine {
     val n = vids.length
     val states = prev.states.clone()
     val lastChanged = prev.lastChanged.clone()
-    val outbox = mutable.ArrayBuffer.empty[(Long, (Long, V))]
     var local = 0L
 
     val hasMail = new Array[Boolean](n)
@@ -238,17 +240,23 @@ object SuperstepEngine {
           changed += i
         }
       }
-      // Broadcasts go out only after every vertex with mail has run, so all
-      // of them read the same tables (Jacobi order).
-      for (i <- changed; t <- program.receivers(ctxs(i))) {
-        val j = if (localDelivery) java.util.Arrays.binarySearch(vids, t) else -1
+      // Broadcasts within the block go out only after every vertex with mail
+      // has run, so all of them read the same tables (Jacobi order).
+      if (localDelivery) for (i <- changed; t <- program.receivers(ctxs(i))) {
+        val j = java.util.Arrays.binarySearch(vids, t)
         if (j >= 0) {
           deliver(j, vids(i), states(i).value)
           local += 1
-        } else outbox += ((t, (vids(i), states(i).value)))
+        }
       }
       active = (0 until n).filter(hasMail)
     }
+
+    // Once the block has settled, each vertex that changed this round sends
+    // its final value once to every receiver outside the block.
+    val outbox = mutable.ArrayBuffer.empty[(Long, (Long, V))]
+    for (i <- 0 until n if lastChanged(i) == round; t <- program.receivers(ctxs(i)))
+      if (!localDelivery || java.util.Arrays.binarySearch(vids, t) < 0) outbox += ((t, (vids(i), states(i).value)))
 
     Block(states, lastChanged, outbox.toArray,
       RoundCounts(outbox.length.toLong, local, lastChanged.groupMapReduce(identity)(_ => 1L)(_ + _)))

@@ -83,4 +83,20 @@ class NeighbourFixpointSpec extends AnyFunSuite {
     assert(prev.states.map(s => (s.value, s.in.toSeq, s.out.toSeq)).toSeq ==
       Seq((1L, Seq(), Seq(0L)), (2L, Seq(0L), Seq(0L)), (3L, Seq(0L), Seq())))
   }
+
+  test("a border vertex that changes twice in a round sends its settled value once") {
+    // The path 1-2-3 in one block, as above, plus the edge 3->9 to a vertex
+    // 9 of another block, whose initial broadcast is in the inbox too.
+    val vids = Array(1L, 2L, 3L)
+    val none = Array.emptyLongArray
+    val adjs = Array(VertexAdj(none, Array(2L)), VertexAdj(Array(1L), Array(3L)), VertexAdj(Array(2L), Array(9L)))
+    val prev = block(State(1L, none, Array(0L)), State(2L, Array(0L), Array(0L)), State(3L, Array(0L), Array(0L)))
+    val inbox = Iterator((2L, (1L, 1L)), (1L, (2L, 2L)), (3L, (2L, 2L)), (2L, (3L, 3L)), (3L, (9L, 9L)))
+    val b = stepBlock(1, 0, vids, adjs, prev, inbox, TestPrograms.MinLabel, localDelivery = true, maxRounds = 10)
+    // 3 lowers to 2 in sub-iteration 1 and to 1 in sub-iteration 2; only the
+    // settled 1 goes to 9.
+    assert(b.states.map(_.value).toSeq == Seq(1L, 1L, 1L))
+    assert(b.outbox.toSeq == Seq((9L, (3L, 1L))))
+    assert(b.counts == RoundCounts(1, 4, Map(0 -> 1L, 1 -> 2L)))
+  }
 }
