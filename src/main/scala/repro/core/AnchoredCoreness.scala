@@ -14,6 +14,11 @@ import repro.engine._
   * kmax(v) (Thm. 4.1). For `Direction.Out` the roles flip and the fixpoint
   * is lmax(v) = max{l : v in (0,l)-core} (Thm. 5.2). Only the feeders' side
   * of the neighbour table is kept.
+  *
+  * A reader with d feeders computes an H-index of at most d, so there every
+  * value >= d counts as d, which is the reader's initial value and so what
+  * the engine prefills its slots with. A value h therefore goes only to the
+  * readers with more than h feeders (DESIGN.md §7).
   */
 object HIndexProgram {
   sealed trait Direction
@@ -24,7 +29,11 @@ object HIndexProgram {
     new NeighbourFixpoint[VertexAdj, Int] {
       def inN(a: VertexAdj): Array[Long] = if (dir == In) a.inN else Array.emptyLongArray
       def outN(a: VertexAdj): Array[Long] = if (dir == Out) a.outN else Array.emptyLongArray
-      def receivers(a: VertexAdj): Array[Long] = if (dir == In) a.outN else a.inN
+      def receivers(a: VertexAdj, h: Int): Array[Long] = {
+        // feederCount(i): readers(i)'s degree on the side it reads.
+        val (readers, feederCount) = if (dir == In) (a.outN, a.outNInDeg) else (a.inN, a.inNOutDeg)
+        readers.indices.collect { case i if feederCount(i) > h => readers(i) }.toArray
+      }
       def init(vid: Long, a: VertexAdj): Int = if (dir == In) a.inDeg else a.outDeg
 
       def update(a: VertexAdj, value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
@@ -53,7 +62,7 @@ object AnchoredCoreness {
   private object KmaxExchange extends NeighbourFixpoint[(VertexAdj, Int), Int] {
     def inN(c: (VertexAdj, Int)): Array[Long] = c._1.inN
     def outN(c: (VertexAdj, Int)): Array[Long] = c._1.outN
-    def receivers(c: (VertexAdj, Int)): Array[Long] = c._1.inN ++ c._1.outN
+    def receivers(c: (VertexAdj, Int), k: Int): Array[Long] = c._1.inN ++ c._1.outN
     def init(vid: Long, c: (VertexAdj, Int)): Int = c._2
     def update(c: (VertexAdj, Int), k: Int, in: Array[Int], out: Array[Int]): Option[Int] = None
   }
@@ -66,7 +75,7 @@ object AnchoredCoreness {
   private object Phase2Program extends NeighbourFixpoint[AdjK, Array[Int]] {
     def inN(a: AdjK): Array[Long] = Array.emptyLongArray
     def outN(a: AdjK): Array[Long] = a.adj.outN
-    def receivers(a: AdjK): Array[Long] = a.adj.inN
+    def receivers(a: AdjK, oh: Array[Int]): Array[Long] = a.adj.inN
     def init(vid: Long, a: AdjK): Array[Int] = Array.fill(a.kmax + 1)(a.adj.outDeg)
 
     def update(a: AdjK, oh: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
@@ -89,7 +98,7 @@ object AnchoredCoreness {
   private object Phase3Program extends NeighbourFixpoint[(AdjK, Array[Int]), Array[Int]] {
     def inN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.inN
     def outN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.outN
-    def receivers(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
+    def receivers(c: (AdjK, Array[Int]), l: Array[Int]): Array[Long] = c._1.adj.distinctNeighbors
     def init(vid: Long, c: (AdjK, Array[Int])): Array[Int] = c._2
 
     /** Neighbors in G[k] (kmax >= k, so their arrays hold an entry for k)

@@ -32,7 +32,7 @@ object SkylineCoreness {
   private object SCProgram extends NeighbourFixpoint[SCCtx, SkylineSet] {
     def inN(c: SCCtx): Array[Long] = c.adj.inN
     def outN(c: SCCtx): Array[Long] = c.adj.outN
-    def receivers(c: SCCtx): Array[Long] = c.adj.distinctNeighbors
+    def receivers(c: SCCtx, d: SkylineSet): Array[Long] = c.adj.distinctNeighbors
     def init(vid: Long, c: SCCtx): SkylineSet = SkylineSet(Vector((c.k0, c.l0)))
 
     def update(c: SCCtx, d: SkylineSet, in: Array[SkylineSet], out: Array[SkylineSet]): Option[SkylineSet] = {

@@ -130,7 +130,8 @@ object SuperstepEngine {
         vids.iterator.zip(ctxs.iterator.zip(bs.next().states.iterator))
       }
 
-    // Round 0: initial states and every vertex's initial broadcast. In
+    // Round 0: initial states, their tables filled with the vertex's own
+    // initial value, and every vertex's initial broadcast. In
     // block-centric mode only the messages that cross a block boundary are
     // communication; a message is local when its target is one of the
     // block's vertices, the rule `stepBlock` applies.
@@ -138,10 +139,11 @@ object SuperstepEngine {
       val (vids, ctxs) = cs.next()
       val states = Array.tabulate(vids.length) { i =>
         val c = ctxs(i)
-        State(program.init(vids(i), c), new Array[V](program.inN(c).length), new Array[V](program.outN(c).length))
+        val v = program.init(vids(i), c)
+        State(v, Array.fill(program.inN(c).length)(v), Array.fill(program.outN(c).length)(v))
       }
       val outbox = vids.indices.iterator.flatMap { i =>
-        program.receivers(ctxs(i)).iterator.map(t => (t, (vids(i), states(i).value)))
+        program.receivers(ctxs(i), states(i).value).iterator.map(t => (t, (vids(i), states(i).value)))
       }.toArray
       val local =
         if (localDelivery) outbox.count { case (t, _) => java.util.Arrays.binarySearch(vids, t) >= 0 }.toLong else 0L
@@ -242,7 +244,7 @@ object SuperstepEngine {
       }
       // Broadcasts within the block go out only after every vertex with mail
       // has run, so all of them read the same tables (Jacobi order).
-      if (localDelivery) for (i <- changed; t <- program.receivers(ctxs(i))) {
+      if (localDelivery) for (i <- changed; t <- program.receivers(ctxs(i), states(i).value)) {
         val j = java.util.Arrays.binarySearch(vids, t)
         if (j >= 0) {
           deliver(j, vids(i), states(i).value)
@@ -255,7 +257,7 @@ object SuperstepEngine {
     // Once the block has settled, each vertex that changed this round sends
     // its final value once to every receiver outside the block.
     val outbox = mutable.ArrayBuffer.empty[(Long, (Long, V))]
-    for (i <- 0 until n if lastChanged(i) == round; t <- program.receivers(ctxs(i)))
+    for (i <- 0 until n if lastChanged(i) == round; t <- program.receivers(ctxs(i), states(i).value))
       if (!localDelivery || java.util.Arrays.binarySearch(vids, t) < 0) outbox += ((t, (vids(i), states(i).value)))
 
     Block(states, lastChanged, outbox.toArray,

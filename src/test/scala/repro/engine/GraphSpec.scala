@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
@@ -87,6 +88,32 @@ class GraphSpec extends SparkSpec {
       assert(a.inN.toSeq == a.inN.toSeq.sorted)
       assert(a.outN.toSeq == a.outN.toSeq.sorted)
     }
+  }
+
+  test("adjacency carries each neighbour's degree on the side the H-index reads") {
+    for (seed <- Seq(41, 42)) {
+      val g = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(40, 160, seed).map { case (u, v) => (u - 20, v - 20) })
+      val lg = g.toLocal
+      val idx = lg.ids.zipWithIndex.toMap
+      val adj = g.adjacency().collect().toMap
+      assert(adj.keySet == lg.ids.toSet)
+      for ((v, a) <- adj) {
+        assert(a.inNOutDeg.toSeq == a.inN.toSeq.map(u => lg.outDeg(idx(u))), s"seed=$seed v$v")
+        assert(a.outNInDeg.toSeq == a.outN.toSeq.map(u => lg.inDeg(idx(u))), s"seed=$seed v$v")
+      }
+    }
+  }
+
+  test("adjacency keeps the edges' hash partitioning") {
+    val g = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(40, 160, 43), numPartitions = 5)
+    assert(g.adjacency().partitioner == Some(new HashPartitioner(g.edges.rdd.getNumPartitions)))
+  }
+
+  test("distinctNeighbors is (inN ++ outN).distinct, 2-cycles included") {
+    val adj = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(30, 200, 44)).adjacency().collect()
+    val withTwoCycle = adj.filter { case (_, a) => a.inN.exists(a.outN.contains) }
+    assert(withTwoCycle.length > 5)
+    for ((v, a) <- adj) assert(a.distinctNeighbors.toSeq == (a.inN ++ a.outN).distinct.toSeq, s"v$v")
   }
 
   test("toLocal round-trips the edge set") {
