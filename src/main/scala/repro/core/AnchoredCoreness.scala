@@ -14,11 +14,6 @@ import repro.engine._
   * kmax(v) (Thm. 4.1). For `Direction.Out` the roles flip and the fixpoint
   * is lmax(v) = max{l : v in (0,l)-core} (Thm. 5.2). Only the feeders' side
   * of the neighbour table is kept.
-  *
-  * A reader with d feeders computes an H-index of at most d, so there every
-  * value >= d counts as d, which is the reader's initial value and so what
-  * the engine prefills its slots with. A value h therefore goes only to the
-  * readers with more than h feeders (DESIGN.md §7).
   */
 object HIndexProgram {
   sealed trait Direction
@@ -29,17 +24,59 @@ object HIndexProgram {
     new NeighbourFixpoint[VertexAdj, Int] {
       def inN(a: VertexAdj): Array[Long] = if (dir == In) a.inN else Array.emptyLongArray
       def outN(a: VertexAdj): Array[Long] = if (dir == Out) a.outN else Array.emptyLongArray
-      def receivers(a: VertexAdj, h: Int): Array[Long] = {
-        // feederCount(i): readers(i)'s degree on the side it reads.
-        val (readers, feederCount) = if (dir == In) (a.outN, a.outNInDeg) else (a.inN, a.inNOutDeg)
-        readers.indices.collect { case i if feederCount(i) > h => readers(i) }.toArray
-      }
+      def receivers(a: VertexAdj): Array[Long] = if (dir == In) a.outN else a.inN
       def init(vid: Long, a: VertexAdj): Int = if (dir == In) a.inDeg else a.outDeg
 
       def update(a: VertexAdj, value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
         val h = HIndex.hIndex(if (dir == In) in else out)
         if (h < value) Some(h) else None
       }
+    }
+
+  /** `HIndexProgram(In)` with each value paired with the sender's
+    * out-degree, which never changes. Round 0 reaches every out-neighbour,
+    * so after the run a vertex's `in(i)` holds the kmax and the out-degree
+    * of `inN(i)`: the reader caps `OutPruned` needs, learnt from messages
+    * the run sends anyway.
+    */
+  val InWithOutDeg: NeighbourFixpoint[VertexAdj, (Int, Int)] =
+    new NeighbourFixpoint[VertexAdj, (Int, Int)] {
+      private val p = HIndexProgram(In)
+      def inN(a: VertexAdj): Array[Long] = a.inN
+      def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
+      def receivers(a: VertexAdj): Array[Long] = a.outN
+      def init(vid: Long, a: VertexAdj): (Int, Int) = (a.inDeg, a.outDeg)
+      def update(a: VertexAdj, v: (Int, Int), in: Array[(Int, Int)], out: Array[(Int, Int)]): Option[(Int, Int)] =
+        p.update(a, v._1, in.map(_._1), Array.emptyIntArray).map((_, v._2))
+    }
+
+  /** `HIndexProgram(Out)` given each in-neighbour's out-degree: `c._2(i)` is
+    * that of `c._1.inN(i)`. A reader with d out-neighbours computes an
+    * H-index of at most d, so every value >= d counts as d, which is its
+    * initial value and so what the engine prefills its slots with. A value h
+    * therefore goes only to the in-neighbours with more than h
+    * out-neighbours; every round's values stay those of `HIndexProgram(Out)`
+    * (DESIGN.md §7).
+    */
+  val OutPruned: NeighbourFixpoint[(VertexAdj, Array[Int]), Int] =
+    new NeighbourFixpoint[(VertexAdj, Array[Int]), Int] {
+      private val p = HIndexProgram(Out)
+      def inN(c: (VertexAdj, Array[Int])): Array[Long] = Array.emptyLongArray
+      def outN(c: (VertexAdj, Array[Int])): Array[Long] = c._1.outN
+      def receivers(c: (VertexAdj, Array[Int])): Array[Long] = c._1.inN
+      override def receivers(c: (VertexAdj, Array[Int]), h: Int): Array[Long] = {
+        val (readers, caps) = (c._1.inN, c._2)
+        val b = Array.newBuilder[Long]
+        var i = 0
+        while (i < readers.length) {
+          if (caps(i) > h) b += readers(i)
+          i += 1
+        }
+        b.result()
+      }
+      def init(vid: Long, c: (VertexAdj, Array[Int])): Int = c._1.outDeg
+      def update(c: (VertexAdj, Array[Int]), h: Int, in: Array[Int], out: Array[Int]): Option[Int] =
+        p.update(c._1, h, in, out)
     }
 }
 
@@ -62,7 +99,7 @@ object AnchoredCoreness {
   private object KmaxExchange extends NeighbourFixpoint[(VertexAdj, Int), Int] {
     def inN(c: (VertexAdj, Int)): Array[Long] = c._1.inN
     def outN(c: (VertexAdj, Int)): Array[Long] = c._1.outN
-    def receivers(c: (VertexAdj, Int), k: Int): Array[Long] = c._1.inN ++ c._1.outN
+    def receivers(c: (VertexAdj, Int)): Array[Long] = c._1.inN ++ c._1.outN
     def init(vid: Long, c: (VertexAdj, Int)): Int = c._2
     def update(c: (VertexAdj, Int), k: Int, in: Array[Int], out: Array[Int]): Option[Int] = None
   }
@@ -75,7 +112,7 @@ object AnchoredCoreness {
   private object Phase2Program extends NeighbourFixpoint[AdjK, Array[Int]] {
     def inN(a: AdjK): Array[Long] = Array.emptyLongArray
     def outN(a: AdjK): Array[Long] = a.adj.outN
-    def receivers(a: AdjK, oh: Array[Int]): Array[Long] = a.adj.inN
+    def receivers(a: AdjK): Array[Long] = a.adj.inN
     def init(vid: Long, a: AdjK): Array[Int] = Array.fill(a.kmax + 1)(a.adj.outDeg)
 
     def update(a: AdjK, oh: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
@@ -98,7 +135,7 @@ object AnchoredCoreness {
   private object Phase3Program extends NeighbourFixpoint[(AdjK, Array[Int]), Array[Int]] {
     def inN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.inN
     def outN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.outN
-    def receivers(c: (AdjK, Array[Int]), l: Array[Int]): Array[Long] = c._1.adj.distinctNeighbors
+    def receivers(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
     def init(vid: Long, c: (AdjK, Array[Int])): Array[Int] = c._2
 
     /** Neighbors in G[k] (kmax >= k, so their arrays hold an entry for k)

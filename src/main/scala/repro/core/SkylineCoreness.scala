@@ -32,7 +32,7 @@ object SkylineCoreness {
   private object SCProgram extends NeighbourFixpoint[SCCtx, SkylineSet] {
     def inN(c: SCCtx): Array[Long] = c.adj.inN
     def outN(c: SCCtx): Array[Long] = c.adj.outN
-    def receivers(c: SCCtx, d: SkylineSet): Array[Long] = c.adj.distinctNeighbors
+    def receivers(c: SCCtx): Array[Long] = c.adj.distinctNeighbors
     def init(vid: Long, c: SCCtx): SkylineSet = SkylineSet(Vector((c.k0, c.l0)))
 
     def update(c: SCCtx, d: SkylineSet, in: Array[SkylineSet], out: Array[SkylineSet]): Option[SkylineSet] = {
@@ -63,12 +63,15 @@ object SkylineCoreness {
       maxRounds: Int = 5000,
       traceSink: Option[Vector[Map[Long, Vector[(Int, Int)]]] => Unit] = None
   ): SCRun = {
-    // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice. Each
-    // run starts from the previous one's vertices, which keep the mode's
-    // partitioner, so neither the second run nor the join shuffles.
-    val rIn  = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.In), mode, maxRounds)
-    val rOut = SuperstepEngine.run(rIn.vertices.mapValues(_._1), HIndexProgram(HIndexProgram.Out), mode, maxRounds)
-    val ctx = rOut.vertices.join(rIn.values).mapValues { case ((a, out), k0) => SCCtx(a, k0, out.value) }
+    // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice. The
+    // in-run's messages carry each sender's out-degree, so the out-run sends
+    // a value only to the in-neighbours it can still lower. Each run starts
+    // from the previous one's vertices, which keep the mode's partitioner,
+    // so neither the second run nor the join shuffles.
+    val rIn  = SuperstepEngine.run(g.adjacency(), HIndexProgram.InWithOutDeg, mode, maxRounds)
+    val outCtx = rIn.vertices.mapValues { case (a, s) => (a, s.in.map(_._2)) }
+    val rOut = SuperstepEngine.run(outCtx, HIndexProgram.OutPruned, mode, maxRounds)
+    val ctx = rOut.vertices.join(rIn.values).mapValues { case (((a, _), out), (k0, _)) => SCCtx(a, k0, out.value) }
 
     val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
     def record(values: RDD[(Long, SkylineSet)]): Unit = trace += values.mapValues(_.pairs).collect().toMap

@@ -1,18 +1,13 @@
 package repro.engine
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.LocalGraph
 
-/** Per-vertex adjacency, the read-only context handed to vertex programs:
-  * the in- and out-neighbours sorted by id, the out-degree of each
-  * in-neighbour (`inNOutDeg(i)` is that of `inN(i)`) and the in-degree of
-  * each out-neighbour (`outNInDeg(i)` is that of `outN(i)`).
-  */
-final case class VertexAdj(inN: Array[Long], outN: Array[Long], inNOutDeg: Array[Int], outNInDeg: Array[Int]) {
+/** Per-vertex adjacency, the read-only context handed to vertex programs. */
+final case class VertexAdj(inN: Array[Long], outN: Array[Long]) {
   def inDeg: Int = inN.length
   def outDeg: Int = outN.length
 
@@ -76,39 +71,12 @@ final class DirectedGraph private (val edges: DataFrame) extends Serializable {
   }
 
   /** Adjacency RDD for the superstep engine: one record per vertex with its
-    * full in- and out-neighbour lists (sorted for determinism) and their
-    * degrees, under `HashPartitioner(e.getNumPartitions)`, so a
-    * vertex-centric run over as many partitions starts without a shuffle.
+    * full in- and out-neighbor lists (sorted for determinism).
     */
   def adjacency(): RDD[(Long, VertexAdj)] = {
     val e: RDD[(Long, Long)] = edges.select($"src", $"dst").as[(Long, Long)].rdd
-    val part = new HashPartitioner(e.getNumPartitions)
-    // Each edge goes to both endpoints: (v, (u, true)) when u is an
-    // out-neighbour of v, (v, (u, false)) when it is an in-neighbour.
-    val lists: RDD[(Long, (Array[Long], Array[Long]))] = e
-      .flatMap { case (s, d) => Iterator((s, (d, true)), (d, (s, false))) }
-      .partitionBy(part)
-      .mapPartitions(
-        _.toArray.groupMap(_._1)(_._2).iterator.map { case (v, us) =>
-          val (out, in) = us.partition(_._2)
-          (v, (in.map(_._1).sorted, out.map(_._1).sorted))
-        },
-        preservesPartitioning = true
-      )
-    // Each vertex v sends its in-degree to its in-neighbours u, as
-    // (u, (v, deg, true)), and its out-degree to its out-neighbours, as
-    // (u, (v, deg, false)).
-    val degrees = lists
-      .flatMap { case (v, (in, out)) =>
-        in.iterator.map(u => (u, (v, in.length, true))) ++ out.iterator.map(u => (u, (v, out.length, false)))
-      }
-      .partitionBy(part)
-    lists.zipPartitions(degrees, preservesPartitioning = true) { (ls, ds) =>
-      // One record per (vertex, neighbour, side), so sorted by neighbour they
-      // align with the sorted lists.
-      val degs = ds.toArray.sortBy(_._2._1).groupMap { case (u, (_, _, isOut)) => (u, isOut) }(_._2._2)
-      def side(v: Long, isOut: Boolean) = degs.getOrElse((v, isOut), Array.emptyIntArray)
-      ls.map { case (v, (in, out)) => (v, VertexAdj(in, out, side(v, isOut = false), side(v, isOut = true))) }
+    e.cogroup(e.map(_.swap), e.getNumPartitions).mapValues { case (o, i) =>
+      VertexAdj(i.toArray.sorted, o.toArray.sorted)
     }
   }
 

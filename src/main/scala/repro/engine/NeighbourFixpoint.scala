@@ -6,27 +6,29 @@ package repro.engine
   * whenever it changes.
   *
   * An instance supplies the neighbours whose values it reads (`inN`, `outN`,
-  * each sorted by id), the vertices that need a given value of it
-  * (`receivers`), the initial value and `update`, which returns the new value
-  * or `None` when it is unchanged. The neighbour tables are positional:
-  * `in(i)` holds the latest value of `inN(ctx)(i)`, and a 2-cycle neighbour
-  * fills a slot on each side.
+  * each sorted by id), the vertices it feeds (`receivers`), the initial value
+  * and `update`, which returns the new value or `None` when it is unchanged.
+  * The neighbour tables are positional: `in(i)` holds the latest value of
+  * `inN(ctx)(i)`, and a 2-cycle neighbour fills a slot on each side.
   *
   * Before round 0 the engine fills each slot of a vertex's tables with the
-  * vertex's own initial value, so a slot no message has written reads as
-  * that value. Each time a vertex's value changes (and in round 0, with its
-  * initial value) the engine sends it to `receivers(ctx, value)`, the
-  * readers that need this value: an instance may leave out a reader whose
-  * `update` cannot tell the value apart from what the reader's slot already
-  * holds. An instance whose `receivers` ignores the value reaches every slot
-  * it reads in round 0, which overwrites the prefill before `update` first
-  * runs. The engine runs a vertex only when it has mail, so `update` must
-  * return `None` on its own result when the tables have not changed.
+  * vertex's own initial value. Each time a vertex's value changes (and in
+  * round 0, with its initial value) the engine sends it to
+  * `receivers(ctx, value)`, the readers that need this value, which is
+  * `receivers(ctx)` unless an instance overrides it. An override may leave
+  * out a reader whose `update` cannot tell the value apart from that
+  * reader's own initial value. Without one, every vertex sends its initial
+  * value to each of its receivers, and every slot an instance reads belongs
+  * to a neighbour that feeds it, so the first round overwrites every slot
+  * before `update` first runs. The engine runs a vertex only when it has
+  * mail, so `update` must return `None` on its own result when the tables
+  * have not changed.
   */
 trait NeighbourFixpoint[C, V] extends Serializable {
   def inN(ctx: C): Array[Long]
   def outN(ctx: C): Array[Long]
-  def receivers(ctx: C, value: V): Array[Long]
+  def receivers(ctx: C): Array[Long]
+  def receivers(ctx: C, value: V): Array[Long] = receivers(ctx)
   def init(vid: Long, ctx: C): V
   def update(ctx: C, value: V, in: Array[V], out: Array[V]): Option[V]
 }

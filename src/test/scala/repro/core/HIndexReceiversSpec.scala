@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.reflect.ClassTag
+
 import org.apache.spark.rdd.RDD
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
@@ -8,54 +10,60 @@ import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.engine._
 
-/** `HIndexProgram` sends a value h only to the readers with more than h
-  * feeders. Property: on every graph, in both directions and in every mode,
-  * each round's values equal those of an uncapped copy that sends every
-  * value to every reader, and the capped run takes no more rounds and sends
-  * no more messages in any round.
+/** SC's initialisation: `HIndexProgram.InWithOutDeg` tells each vertex its
+  * in-neighbours' out-degrees, and `HIndexProgram.OutPruned` then sends a
+  * value h only to the in-neighbours with more than h out-neighbours.
+  * Property: on every graph and in every mode, the in-run matches
+  * `HIndexProgram(In)` round by round, values and messages alike, and learns
+  * the true out-degrees; the pruned out-run's values equal those of
+  * `HIndexProgram(Out)`, which sends every value to every reader, in every
+  * round, and it takes no more rounds and sends no more messages in any
+  * round.
   */
 class HIndexReceiversSpec extends SparkSpec {
-  import HIndexProgram.{Direction, In, Out}
+  import HIndexProgram.{In, Out}
 
-  /** `HIndexProgram(dir)`, but every value goes to every reader. */
-  private def uncapped(dir: Direction): NeighbourFixpoint[VertexAdj, Int] = {
-    val p = HIndexProgram(dir)
-    new NeighbourFixpoint[VertexAdj, Int] {
-      def inN(a: VertexAdj): Array[Long] = p.inN(a)
-      def outN(a: VertexAdj): Array[Long] = p.outN(a)
-      def receivers(a: VertexAdj, h: Int): Array[Long] = if (dir == In) a.outN else a.inN
-      def init(vid: Long, a: VertexAdj): Int = p.init(vid, a)
-      def update(a: VertexAdj, h: Int, in: Array[Int], out: Array[Int]): Option[Int] = p.update(a, h, in, out)
-    }
-  }
-
-  /** Each round's values, round 0's initial values first, and the metrics. */
-  private def trajectory(adj: RDD[(Long, VertexAdj)], p: NeighbourFixpoint[VertexAdj, Int], mode: EngineMode) = {
+  /** Each round's values, round 0's initial values first, the metrics and
+    * the final states.
+    */
+  private def trajectory[C: ClassTag, V: ClassTag](adj: RDD[(Long, C)], p: NeighbourFixpoint[C, V], mode: EngineMode) = {
     val init = adj.map { case (v, a) => v -> p.init(v, a) }.collect().toMap
-    val snaps = Vector.newBuilder[Map[Long, Int]] += init
-    val r = SuperstepEngine.run(adj, p, mode, onRoundEnd = Some((vs: RDD[(Long, Int)]) => { snaps += vs.collect().toMap; () }))
-    (snaps.result(), r.metrics)
+    val snaps = Vector.newBuilder[Map[Long, V]] += init
+    val r = SuperstepEngine.run(adj, p, mode, onRoundEnd = Some((vs: RDD[(Long, V)]) => { snaps += vs.collect().toMap; () }))
+    (snaps.result(), r.metrics, r.vertices)
   }
 
   /** Checks the property on `edges`, in V mode and under HASH, FENNEL and
     * METIS-like blocks.
     */
   private def check(edges: Seq[(Long, Long)]): Unit = {
-    val adj = DirectedGraph.fromEdgeList(spark, edges, numPartitions = 2).adjacency().cache()
+    val g = DirectedGraph.fromEdgeList(spark, edges, numPartitions = 2)
+    val adj = g.adjacency().cache()
+    val lg = g.toLocal
+    val outDeg = lg.ids.zipWithIndex.map { case (v, i) => v -> lg.outDeg(i) }.toMap
     val modes = ("V", VertexCentric(3)) +:
       Seq(Partitioners.hash(3), Partitioners.fennel(edges, 3), Partitioners.metisLike(edges, 3))
         .map(part => (part.name, BlockCentric(part.assign, part.numBlocks)))
-    for (dir <- Seq(In, Out); (name, mode) <- modes) {
-      val label = s"$dir/$name on $edges"
-      val (cv, cm) = trajectory(adj, HIndexProgram(dir), mode)
-      val (uv, um) = trajectory(adj, uncapped(dir), mode)
-      assert(cm.rounds <= um.rounds, label)
-      // The uncapped run may spend its extra rounds on mail that changes nothing.
-      assert(uv == cv ++ Vector.fill(um.rounds - cm.rounds)(cv.last), label)
-      for (r <- 0 to cm.rounds) {
-        assert(cm.perRound(r).remote <= um.perRound(r).remote, s"$label: round $r remote")
-        assert(cm.perRound(r).local <= um.perRound(r).local, s"$label: round $r local")
+    for ((name, mode) <- modes) {
+      val label = s"$name on $edges"
+      val (iv, im, ivs) = trajectory(adj, HIndexProgram.InWithOutDeg, mode)
+      val (kv, km, _) = trajectory(adj, HIndexProgram(In), mode)
+      assert(iv.map(_.map { case (v, (h, _)) => v -> h }) == kv, s"In/$label")
+      assert(im == km, s"In/$label")
+      val outCtx = ivs.mapValues { case (a, s) => (a, s.in.map(_._2)) }.cache()
+      for ((v, (a, caps)) <- outCtx.collect())
+        assert(caps.toSeq == a.inN.toSeq.map(outDeg), s"$label: v$v's in-neighbours' out-degrees")
+
+      val (pv, pm, _) = trajectory(outCtx, HIndexProgram.OutPruned, mode)
+      val (uv, um, _) = trajectory(adj, HIndexProgram(Out), mode)
+      assert(pm.rounds <= um.rounds, s"Out/$label")
+      // The unpruned run may spend its extra rounds on mail that changes nothing.
+      assert(uv == pv ++ Vector.fill(um.rounds - pm.rounds)(pv.last), s"Out/$label")
+      for (r <- 0 to pm.rounds) {
+        assert(pm.perRound(r).remote <= um.perRound(r).remote, s"Out/$label: round $r remote")
+        assert(pm.perRound(r).local <= um.perRound(r).local, s"Out/$label: round $r local")
       }
+      outCtx.unpersist()
     }
     adj.unpersist()
   }

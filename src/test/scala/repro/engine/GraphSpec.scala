@@ -90,20 +90,6 @@ class GraphSpec extends SparkSpec {
     }
   }
 
-  test("adjacency carries each neighbour's degree on the side the H-index reads") {
-    for (seed <- Seq(41, 42)) {
-      val g = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(40, 160, seed).map { case (u, v) => (u - 20, v - 20) })
-      val lg = g.toLocal
-      val idx = lg.ids.zipWithIndex.toMap
-      val adj = g.adjacency().collect().toMap
-      assert(adj.keySet == lg.ids.toSet)
-      for ((v, a) <- adj) {
-        assert(a.inNOutDeg.toSeq == a.inN.toSeq.map(u => lg.outDeg(idx(u))), s"seed=$seed v$v")
-        assert(a.outNInDeg.toSeq == a.outN.toSeq.map(u => lg.inDeg(idx(u))), s"seed=$seed v$v")
-      }
-    }
-  }
-
   test("adjacency keeps the edges' hash partitioning") {
     val g = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(40, 160, 43), numPartitions = 5)
     assert(g.adjacency().partitioner == Some(new HashPartitioner(g.edges.rdd.getNumPartitions)))

@@ -11,7 +11,7 @@ class NeighbourFixpointSpec extends AnyFunSuite {
   private object MaxHeard extends NeighbourFixpoint[VertexAdj, Int] {
     def inN(a: VertexAdj): Array[Long] = a.inN
     def outN(a: VertexAdj): Array[Long] = a.outN
-    def receivers(a: VertexAdj, value: Int): Array[Long] = a.distinctNeighbors
+    def receivers(a: VertexAdj): Array[Long] = a.distinctNeighbors
     def init(vid: Long, a: VertexAdj): Int = 0
     def update(a: VertexAdj, value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
       val m = (in ++ out).max
@@ -19,11 +19,8 @@ class NeighbourFixpointSpec extends AnyFunSuite {
     }
   }
 
-  /** Adjacency without neighbour degrees, which no program here reads. */
-  private def adjOf(inN: Array[Long], outN: Array[Long]) = VertexAdj(inN, outN, Array.emptyIntArray, Array.emptyIntArray)
-
   // Vertex 5 with in-neighbours {1, 2} and out-neighbours {2, 9}: 2 is a 2-cycle.
-  private val adj = adjOf(Array(1L, 2L), Array(2L, 9L))
+  private val adj = VertexAdj(Array(1L, 2L), Array(2L, 9L))
 
   /** Round 1 of a block holding only vertex 5 in state `s`, with `mail` from
     * `(sender, value)` pairs.
@@ -72,7 +69,7 @@ class NeighbourFixpointSpec extends AnyFunSuite {
     // are empty and the inbox holds the four initial broadcasts.
     val vids = Array(1L, 2L, 3L)
     val none = Array.emptyLongArray
-    val adjs = Array(adjOf(none, Array(2L)), adjOf(Array(1L), Array(3L)), adjOf(Array(2L), none))
+    val adjs = Array(VertexAdj(none, Array(2L)), VertexAdj(Array(1L), Array(3L)), VertexAdj(Array(2L), none))
     val prev = block(State(1L, none, Array(0L)), State(2L, Array(0L), Array(0L)), State(3L, Array(0L), none))
     val inbox = Iterator((2L, (1L, 1L)), (1L, (2L, 2L)), (3L, (2L, 2L)), (2L, (3L, 3L)))
     val b = stepBlock(1, 0, vids, adjs, prev, inbox, TestPrograms.MinLabel, localDelivery = true, maxRounds = 10)
@@ -92,7 +89,7 @@ class NeighbourFixpointSpec extends AnyFunSuite {
     // 9 of another block, whose initial broadcast is in the inbox too.
     val vids = Array(1L, 2L, 3L)
     val none = Array.emptyLongArray
-    val adjs = Array(adjOf(none, Array(2L)), adjOf(Array(1L), Array(3L)), adjOf(Array(2L), Array(9L)))
+    val adjs = Array(VertexAdj(none, Array(2L)), VertexAdj(Array(1L), Array(3L)), VertexAdj(Array(2L), Array(9L)))
     val prev = block(State(1L, none, Array(0L)), State(2L, Array(0L), Array(0L)), State(3L, Array(0L), Array(0L)))
     val inbox = Iterator((2L, (1L, 1L)), (1L, (2L, 2L)), (3L, (2L, 2L)), (2L, (3L, 3L)), (3L, (9L, 9L)))
     val b = stepBlock(1, 0, vids, adjs, prev, inbox, TestPrograms.MinLabel, localDelivery = true, maxRounds = 10)
