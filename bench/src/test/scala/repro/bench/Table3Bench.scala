@@ -1,14 +1,14 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.AnchoredCoreness
+import repro.core.SkylineCoreness
 import repro.graphgen.Datasets
 
 /** Table 3 — dataset statistics: |V|, |E|, deg_avg, kmax, lmax for the 11
   * synthetic stand-ins, printed next to the paper's originals. kmax/lmax are
   * the graph-level maxima of the per-vertex in-/out-corenesses, computed by
-  * the distributed Phase-I fixpoint (which is itself under test here at
-  * hundreds of thousands of edges).
+  * `SkylineCoreness.corenesses`, the two distributed Alg.-2 fixpoints (which
+  * are themselves under test here at hundreds of thousands of edges).
   */
 class Table3Bench extends SparkSpec {
 
@@ -21,10 +21,9 @@ class Table3Bench extends SparkSpec {
     val out = for (spec <- Datasets.all) yield {
       val g = spec.generate(spark)
       val st = g.stats
-      val (kin, _) = AnchoredCoreness.inCoreness(g, BenchUtil.vMode)
-      val (lout, _) = AnchoredCoreness.outCoreness(g, BenchUtil.vMode)
-      val kmax = kin.values.max()
-      val lmax = lout.values.max()
+      val (ctx, _, _) = SkylineCoreness.corenesses(g, BenchUtil.vMode)
+      val kmax = ctx.values.map(_.k0).max()
+      val lmax = ctx.values.map(_.l0).max()
       println(f"${spec.name}%-13s${spec.abbr}%-5s${st.numVertices}%9d ${"(" + spec.paperV + ")"}%-9s" +
         f"${st.numEdges}%9d ${"(" + spec.paperE + ")"}%-9s" +
         f"${st.avgDegree}%8.2f ${"(" + spec.paperAvgDeg + ")"}%-8s" +

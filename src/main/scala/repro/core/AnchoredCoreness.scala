@@ -7,60 +7,42 @@ import scala.collection.mutable
 
 import repro.engine._
 
-/** Directional n-order H-index fixpoint (Defs. 4.2/4.3, Alg. 2).
-  *
-  * For `Direction.In`: value starts at the in-degree, feeders are the
-  * in-neighbors and updates are pushed to out-neighbors; the fixpoint is
-  * kmax(v) (Thm. 4.1). For `Direction.Out` the roles flip and the fixpoint
-  * is lmax(v) = max{l : v in (0,l)-core} (Thm. 5.2). Only the feeders' side
-  * of the neighbour table is kept.
+/** The n-order H-index fixpoints (Defs. 4.2/4.3, Alg. 2), one per
+  * direction. Only the feeders' side of the neighbour table is kept.
   */
 object HIndexProgram {
-  sealed trait Direction
-  case object In extends Direction
-  case object Out extends Direction
 
-  def apply(dir: Direction): NeighbourFixpoint[VertexAdj, Int] =
-    new NeighbourFixpoint[VertexAdj, Int] {
-      def inN(a: VertexAdj): Array[Long] = if (dir == In) a.inN else Array.emptyLongArray
-      def outN(a: VertexAdj): Array[Long] = if (dir == Out) a.outN else Array.emptyLongArray
-      def receivers(a: VertexAdj): Array[Long] = if (dir == In) a.outN else a.inN
-      def init(vid: Long, a: VertexAdj): Int = if (dir == In) a.inDeg else a.outDeg
-
-      def update(a: VertexAdj, value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
-        val h = HIndex.hIndex(if (dir == In) in else out)
-        if (h < value) Some(h) else None
-      }
-    }
-
-  /** `HIndexProgram(In)` with each value paired with the sender's
-    * out-degree, which never changes. Round 0 reaches every out-neighbour,
-    * so after the run a vertex's `in(i)` holds the kmax and the out-degree
-    * of `inN(i)`: the reader caps `OutPruned` needs, learnt from messages
-    * the run sends anyway.
+  /** The in-H-index: the value starts at the in-degree, feeders are the
+    * in-neighbours and updates go to the out-neighbours; the fixpoint is
+    * kmax(v) (Thm. 4.1). Each value is paired with the sender's out-degree,
+    * which never changes. Round 0 reaches every out-neighbour, so after the
+    * run a vertex's `in(i)` holds the kmax and the out-degree of `inN(i)`:
+    * the reader caps `Out` needs, learnt from messages the run sends anyway.
     */
-  val InWithOutDeg: NeighbourFixpoint[VertexAdj, (Int, Int)] =
+  val In: NeighbourFixpoint[VertexAdj, (Int, Int)] =
     new NeighbourFixpoint[VertexAdj, (Int, Int)] {
-      private val p = HIndexProgram(In)
       def inN(a: VertexAdj): Array[Long] = a.inN
       def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
       def receivers(a: VertexAdj): Array[Long] = a.outN
       def init(vid: Long, a: VertexAdj): (Int, Int) = (a.inDeg, a.outDeg)
-      def update(a: VertexAdj, v: (Int, Int), in: Array[(Int, Int)], out: Array[(Int, Int)]): Option[(Int, Int)] =
-        p.update(a, v._1, in.map(_._1), Array.emptyIntArray).map((_, v._2))
+      def update(a: VertexAdj, v: (Int, Int), in: Array[(Int, Int)], out: Array[(Int, Int)]): Option[(Int, Int)] = {
+        val h = HIndex.hIndex(in.map(_._1))
+        if (h < v._1) Some((h, v._2)) else None
+      }
     }
 
-  /** `HIndexProgram(Out)` given each in-neighbour's out-degree: `c._2(i)` is
-    * that of `c._1.inN(i)`. A reader with d out-neighbours computes an
-    * H-index of at most d, so every value >= d counts as d, which is its
-    * initial value and so what the engine prefills its slots with. A value h
-    * therefore goes only to the in-neighbours with more than h
-    * out-neighbours; every round's values stay those of `HIndexProgram(Out)`
-    * (DESIGN.md §7).
+  /** The out-H-index given each in-neighbour's out-degree: `c._2(i)` is that
+    * of `c._1.inN(i)`. The value starts at the out-degree, feeders are the
+    * out-neighbours and updates go to the in-neighbours; the fixpoint is
+    * lmax(v) = max{l : v in (0,l)-core} (Thm. 5.2). A reader with d
+    * out-neighbours computes an H-index of at most d, so every value >= d
+    * counts as d, which is its initial value and so what the engine prefills
+    * its slots with. A value h therefore goes only to the in-neighbours with
+    * more than h out-neighbours; every round's values stay those of Alg. 2,
+    * which sends each value to every reader (DESIGN.md §7).
     */
-  val OutPruned: NeighbourFixpoint[(VertexAdj, Array[Int]), Int] =
+  val Out: NeighbourFixpoint[(VertexAdj, Array[Int]), Int] =
     new NeighbourFixpoint[(VertexAdj, Array[Int]), Int] {
-      private val p = HIndexProgram(Out)
       def inN(c: (VertexAdj, Array[Int])): Array[Long] = Array.emptyLongArray
       def outN(c: (VertexAdj, Array[Int])): Array[Long] = c._1.outN
       def receivers(c: (VertexAdj, Array[Int])): Array[Long] = c._1.inN
@@ -75,8 +57,10 @@ object HIndexProgram {
         b.result()
       }
       def init(vid: Long, c: (VertexAdj, Array[Int])): Int = c._1.outDeg
-      def update(c: (VertexAdj, Array[Int]), h: Int, in: Array[Int], out: Array[Int]): Option[Int] =
-        p.update(c._1, h, in, out)
+      def update(c: (VertexAdj, Array[Int]), value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
+        val h = HIndex.hIndex(out)
+        if (h < value) Some(h) else None
+      }
     }
 }
 
@@ -193,7 +177,7 @@ object AnchoredCoreness {
       maxRounds: Int = 5000,
       traceSink: Option[Trace => Unit] = None
   ): ACRun = {
-    val t1 = Vector.newBuilder[Map[Long, Int]]
+    val t1 = Vector.newBuilder[Map[Long, (Int, Int)]]
     val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
     val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
     // Only a traced run observes its rounds; otherwise the engine builds no
@@ -204,7 +188,7 @@ object AnchoredCoreness {
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.
     val p1 = SuperstepEngine.run(
       g.adjacency(),
-      HIndexProgram(HIndexProgram.In),
+      HIndexProgram.In,
       mode,
       maxRounds,
       onRoundEnd = record(t1)
@@ -213,7 +197,7 @@ object AnchoredCoreness {
     // ---- kmax exchange: every vertex tells each neighbor its kmax so that
     // G[k] membership is locally checkable. One engine round of setup, so
     // `totalRounds` (Table 4's three phases) leaves it out.
-    val ex = SuperstepEngine.run(p1.vertices.mapValues { case (a, s) => (a, s.value) }, KmaxExchange, mode, maxRounds)
+    val ex = SuperstepEngine.run(p1.vertices.mapValues { case (a, s) => (a, s.value._1) }, KmaxExchange, mode, maxRounds)
 
     // ---- Phase II: upper bounds lupp(k, v).
     val p2 = SuperstepEngine.run(
@@ -235,21 +219,7 @@ object AnchoredCoreness {
     val lmax = p3.values.persist(StorageLevel.MEMORY_AND_DISK)
     lmax.count()
 
-    traceSink.foreach(sink => sink(Trace(t1.result(), t2.result(), t3.result())))
-    ACRun(lmax, p1.values, p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
-  }
-
-  /** kmax(v) for every vertex (Phase I only) — also the per-vertex
-    * in-coreness used for Table 3's k_max column.
-    */
-  def inCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
-    val r = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.In), mode)
-    (r.values, r.metrics)
-  }
-
-  /** lmax(v) = out-coreness (Theorem 5.2) — Table 3's l_max column. */
-  def outCoreness(g: DirectedGraph, mode: EngineMode): (RDD[(Long, Int)], EngineMetrics) = {
-    val r = SuperstepEngine.run(g.adjacency(), HIndexProgram(HIndexProgram.Out), mode)
-    (r.values, r.metrics)
+    traceSink.foreach(sink => sink(Trace(t1.result().map(_.view.mapValues(_._1).toMap), t2.result(), t3.result())))
+    ACRun(lmax, p1.values.mapValues(_._1), p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
   }
 }

@@ -56,6 +56,25 @@ object SkylineCoreness {
     def totalMessages: Long = initIn.totalMessages + initOut.totalMessages + main.totalMessages
   }
 
+  /** Opt-3's tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice, as
+    * each vertex's SC context, with the in-run's and the out-run's metrics.
+    * The in-run's messages carry each sender's out-degree, so the out-run
+    * sends a value only to the in-neighbours it can still lower. Each run
+    * starts from the previous one's vertices, which keep the mode's
+    * partitioner, so neither the second run nor the join shuffles.
+    */
+  def corenesses(
+      g: DirectedGraph,
+      mode: EngineMode,
+      maxRounds: Int = 5000
+  ): (RDD[(Long, SCCtx)], EngineMetrics, EngineMetrics) = {
+    val rIn  = SuperstepEngine.run(g.adjacency(), HIndexProgram.In, mode, maxRounds)
+    val outCtx = rIn.vertices.mapValues { case (a, s) => (a, s.in.map(_._2)) }
+    val rOut = SuperstepEngine.run(outCtx, HIndexProgram.Out, mode, maxRounds)
+    val ctx = rOut.vertices.join(rIn.values).mapValues { case (((a, _), out), (k0, _)) => SCCtx(a, k0, out.value) }
+    (ctx, rIn.metrics, rOut.metrics)
+  }
+
   /** Run the full SC decomposition. `mode` selects SC-V vs SC-B. */
   def run(
       g: DirectedGraph,
@@ -63,22 +82,13 @@ object SkylineCoreness {
       maxRounds: Int = 5000,
       traceSink: Option[Vector[Map[Long, Vector[(Int, Int)]]] => Unit] = None
   ): SCRun = {
-    // Opt-3 tight initialisation: kmax(v) and lmax(v) by Alg. 2 twice. The
-    // in-run's messages carry each sender's out-degree, so the out-run sends
-    // a value only to the in-neighbours it can still lower. Each run starts
-    // from the previous one's vertices, which keep the mode's partitioner,
-    // so neither the second run nor the join shuffles.
-    val rIn  = SuperstepEngine.run(g.adjacency(), HIndexProgram.InWithOutDeg, mode, maxRounds)
-    val outCtx = rIn.vertices.mapValues { case (a, s) => (a, s.in.map(_._2)) }
-    val rOut = SuperstepEngine.run(outCtx, HIndexProgram.OutPruned, mode, maxRounds)
-    val ctx = rOut.vertices.join(rIn.values).mapValues { case (((a, _), out), (k0, _)) => SCCtx(a, k0, out.value) }
-
+    val (ctx, initIn, initOut) = corenesses(g, mode, maxRounds)
     val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
     def record(values: RDD[(Long, SkylineSet)]): Unit = trace += values.mapValues(_.pairs).collect().toMap
     val main = SuperstepEngine.run(ctx, SCProgram, mode, maxRounds, onRoundEnd = traceSink.map(_ => record _))
     val sky = main.values.mapValues(_.pairs).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
     traceSink.foreach(sink => sink(trace.result()))
-    SCRun(sky, rIn.metrics, rOut.metrics, main.metrics)
+    SCRun(sky, initIn, initOut, main.metrics)
   }
 }

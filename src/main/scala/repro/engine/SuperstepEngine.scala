@@ -103,6 +103,10 @@ object SuperstepEngine {
       counts: RoundCounts
   )
 
+  /** Runs `program` on `vertices` until no message is in flight.
+    * `onRoundEnd` sees every vertex's value after each round, round 0's
+    * initial values first.
+    */
   def run[C: ClassTag, V: ClassTag](
       vertices: RDD[(Long, C)],
       program: NeighbourFixpoint[C, V],
@@ -156,6 +160,8 @@ object SuperstepEngine {
     // Round 0's outbox also holds the messages that stay in their block.
     var pendingMsgs = first.remote + first.local
     var round = 0
+    def observe(): Unit = onRoundEnd.foreach(_(verticesOf(blocks).mapValues(_._2.value)))
+    observe()
 
     while (round < maxRounds && pendingMsgs > 0) {
       round += 1
@@ -173,7 +179,7 @@ object SuperstepEngine {
       blocks = next
       perRound += counts
       pendingMsgs = counts.remote
-      onRoundEnd.foreach(_(verticesOf(blocks).mapValues(_._2.value)))
+      observe()
     }
     require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
     RunResult(verticesOf(blocks), EngineMetrics(perRound.result()))

@@ -19,9 +19,12 @@ class AnchoredCorenessSpec extends SparkSpec {
 
   // ---------------- Table 1 worked example, phase by phase -----------------
 
+  test("Phase I round 0 reproduces Table 1 row iH^(0) (the in-degrees)") {
+    assert(fig2Trace._2.phase1.head == EG.fig2InDegrees)
+  }
   test("Phase I round 1 reproduces Table 1 row iH^(1)") {
     val t = fig2Trace._2.phase1
-    assert(t.head == EG.fig2IH1)
+    assert(t(1) == EG.fig2IH1)
   }
   test("Phase I fixpoint reproduces Table 1 row kmax") {
     val kmax = fig2Trace._1.kmax.collect().toMap
@@ -30,11 +33,15 @@ class AnchoredCorenessSpec extends SparkSpec {
   test("Phase I converges in 2 rounds on figure 2 (iH^(2) = iH^(1))") {
     val (run, trace) = fig2Trace
     assert(run.phase1.rounds == 2)
-    assert(trace.phase1(1) == trace.phase1(0))
+    assert(trace.phase1(2) == trace.phase1(1))
+  }
+  test("Phase II round 0 reproduces Table 1 row oH^(0)_{G[k]} (out-degrees in G)") {
+    val got = fig2Trace._2.phase2.head.view.mapValues(_.toVector).toMap
+    assert(got == EG.fig2OH0)
   }
   test("Phase II round 1 reproduces Table 1 row oH^(1)_{G[k]}") {
     val t = fig2Trace._2.phase2
-    val got = t.head.view.mapValues(_.toVector).toMap
+    val got = t(1).view.mapValues(_.toVector).toMap
     assert(got == EG.fig2OH1)
   }
   test("Phase II fixpoint reproduces Table 1 row lupp(k,v)") {
@@ -42,9 +49,13 @@ class AnchoredCorenessSpec extends SparkSpec {
     val got = t.last.view.mapValues(_.toVector).toMap
     assert(got == EG.fig2Lupp)
   }
+  test("Phase III round 0 starts from Table 1 row lupp(k,v)") {
+    val got = fig2Trace._2.phase3.head.view.mapValues(_.toVector).toMap
+    assert(got == EG.fig2Lupp)
+  }
   test("Phase III round 1 reproduces Table 1 row l'upp (only v7's k=1 bound drops)") {
     val t = fig2Trace._2.phase3
-    val got = t.head.view.mapValues(_.toVector).toMap
+    val got = t(1).view.mapValues(_.toVector).toMap
     assert(got == EG.fig2Lmax)
   }
   test("final anchored corenesses reproduce Table 1 row lmax(k,v)") {
@@ -60,16 +71,16 @@ class AnchoredCorenessSpec extends SparkSpec {
     assert(sky == EG.fig2Skyline)
   }
 
-  // ---------------- directional H-index helpers ----------------------------
+  // ---------------- directional H-index fixpoints --------------------------
 
-  test("inCoreness on figure 2 equals kmax") {
-    val (k, m) = AnchoredCoreness.inCoreness(fig2, VertexCentric(2))
-    assert(k.collect().toMap == EG.fig2Kmax)
+  test("corenesses' k0 on figure 2 equals kmax") {
+    val (ctx, m, _) = SkylineCoreness.corenesses(fig2, VertexCentric(2))
+    assert(ctx.mapValues(_.k0).collect().toMap == EG.fig2Kmax)
     assert(m.rounds >= 1)
   }
-  test("outCoreness on figure 2 equals lmax(0,·)") {
-    val (l, _) = AnchoredCoreness.outCoreness(fig2, VertexCentric(2))
-    assert(l.collect().toMap == EG.fig2Lmax.view.mapValues(_.head).toMap)
+  test("corenesses' l0 on figure 2 equals lmax(0,·)") {
+    val (ctx, _, _) = SkylineCoreness.corenesses(fig2, VertexCentric(2))
+    assert(ctx.mapValues(_.l0).collect().toMap == EG.fig2Lmax.view.mapValues(_.head).toMap)
   }
 
   // ---------------- equivalence with the sequential baseline ---------------

@@ -10,52 +10,68 @@ import org.scalacheck.util.Pretty
 import repro.SparkSpec
 import repro.engine._
 
-/** SC's initialisation: `HIndexProgram.InWithOutDeg` tells each vertex its
-  * in-neighbours' out-degrees, and `HIndexProgram.OutPruned` then sends a
-  * value h only to the in-neighbours with more than h out-neighbours.
-  * Property: on every graph and in every mode, the in-run matches
-  * `HIndexProgram(In)` round by round, values and messages alike, and learns
-  * the true out-degrees; the pruned out-run's values equal those of
-  * `HIndexProgram(Out)`, which sends every value to every reader, in every
+/** Alg. 2 in both directions: `HIndexProgram.In` tells each vertex its
+  * in-neighbours' out-degrees, and `HIndexProgram.Out` then sends a value h
+  * only to the in-neighbours with more than h out-neighbours. Property: on
+  * every graph and in every mode, the in-run matches Alg. 2 as printed
+  * (`plain(in = true)`) round by round, values and messages alike, and learns
+  * the true out-degrees; the out-run's values equal those of
+  * `plain(in = false)`, which sends every value to every reader, in every
   * round, and it takes no more rounds and sends no more messages in any
-  * round.
+  * round. `SkylineCoreness.corenesses`, which chains the two runs, equals
+  * `Peeling`'s in- and out-corenesses.
   */
 class HIndexReceiversSpec extends SparkSpec {
-  import HIndexProgram.{In, Out}
+
+  /** Alg. 2 as printed: the in-H-index (`in`) or the out-H-index, each value
+    * sent to every reader. The reference both programs are checked against.
+    */
+  private def plain(in: Boolean): NeighbourFixpoint[VertexAdj, Int] =
+    new NeighbourFixpoint[VertexAdj, Int] {
+      def inN(a: VertexAdj): Array[Long] = if (in) a.inN else Array.emptyLongArray
+      def outN(a: VertexAdj): Array[Long] = if (!in) a.outN else Array.emptyLongArray
+      def receivers(a: VertexAdj): Array[Long] = if (in) a.outN else a.inN
+      def init(vid: Long, a: VertexAdj): Int = if (in) a.inDeg else a.outDeg
+
+      def update(a: VertexAdj, value: Int, ins: Array[Int], outs: Array[Int]): Option[Int] = {
+        val h = HIndex.hIndex(if (in) ins else outs)
+        if (h < value) Some(h) else None
+      }
+    }
 
   /** Each round's values, round 0's initial values first, the metrics and
     * the final states.
     */
   private def trajectory[C: ClassTag, V: ClassTag](adj: RDD[(Long, C)], p: NeighbourFixpoint[C, V], mode: EngineMode) = {
-    val init = adj.map { case (v, a) => v -> p.init(v, a) }.collect().toMap
-    val snaps = Vector.newBuilder[Map[Long, V]] += init
+    val snaps = Vector.newBuilder[Map[Long, V]]
     val r = SuperstepEngine.run(adj, p, mode, onRoundEnd = Some((vs: RDD[(Long, V)]) => { snaps += vs.collect().toMap; () }))
     (snaps.result(), r.metrics, r.vertices)
   }
 
-  /** Checks the property on `edges`, in V mode and under HASH, FENNEL and
-    * METIS-like blocks.
-    */
+  /** V mode, and HASH, FENNEL and METIS-like blocks over `edges`. */
+  private def modes(edges: Seq[(Long, Long)]): Seq[(String, EngineMode)] =
+    ("V", VertexCentric(3)) +:
+      Seq(Partitioners.hash(3), Partitioners.fennel(edges, 3), Partitioners.metisLike(edges, 3))
+        .map(part => (part.name, BlockCentric(part.assign, part.numBlocks)))
+
+  /** Checks the programs against `plain` on `edges`, in every mode. */
   private def check(edges: Seq[(Long, Long)]): Unit = {
     val g = DirectedGraph.fromEdgeList(spark, edges, numPartitions = 2)
     val adj = g.adjacency().cache()
     val lg = g.toLocal
     val outDeg = lg.ids.zipWithIndex.map { case (v, i) => v -> lg.outDeg(i) }.toMap
-    val modes = ("V", VertexCentric(3)) +:
-      Seq(Partitioners.hash(3), Partitioners.fennel(edges, 3), Partitioners.metisLike(edges, 3))
-        .map(part => (part.name, BlockCentric(part.assign, part.numBlocks)))
-    for ((name, mode) <- modes) {
+    for ((name, mode) <- modes(edges)) {
       val label = s"$name on $edges"
-      val (iv, im, ivs) = trajectory(adj, HIndexProgram.InWithOutDeg, mode)
-      val (kv, km, _) = trajectory(adj, HIndexProgram(In), mode)
+      val (iv, im, ivs) = trajectory(adj, HIndexProgram.In, mode)
+      val (kv, km, _) = trajectory(adj, plain(in = true), mode)
       assert(iv.map(_.map { case (v, (h, _)) => v -> h }) == kv, s"In/$label")
       assert(im == km, s"In/$label")
       val outCtx = ivs.mapValues { case (a, s) => (a, s.in.map(_._2)) }.cache()
       for ((v, (a, caps)) <- outCtx.collect())
         assert(caps.toSeq == a.inN.toSeq.map(outDeg), s"$label: v$v's in-neighbours' out-degrees")
 
-      val (pv, pm, _) = trajectory(outCtx, HIndexProgram.OutPruned, mode)
-      val (uv, um, _) = trajectory(adj, HIndexProgram(Out), mode)
+      val (pv, pm, _) = trajectory(outCtx, HIndexProgram.Out, mode)
+      val (uv, um, _) = trajectory(adj, plain(in = false), mode)
       assert(pm.rounds <= um.rounds, s"Out/$label")
       // The unpruned run may spend its extra rounds on mail that changes nothing.
       assert(uv == pv ++ Vector.fill(um.rounds - pm.rounds)(pv.last), s"Out/$label")
@@ -68,23 +84,35 @@ class HIndexReceiversSpec extends SparkSpec {
     adj.unpersist()
   }
 
-  test("degenerate graphs: empty, single edge, 2-cycle, stars, clique and DAG") {
-    val clique = for (u <- 0L until 5L; v <- 0L until 5L if u != v) yield (u, v)
-    val dag = for (u <- 0L until 6L; v <- u + 1 until 6L if (u + v) % 3 != 0) yield (u, v)
-    for (
-      edges <- Seq(
-        Seq.empty,
-        Seq((1L, 2L)),
-        Seq((1L, 2L), (2L, 1L)),
-        (1L to 6L).map(v => (v, 0L)), // in-star
-        (1L to 6L).map(v => (0L, v)), // out-star
-        clique,
-        dag
-      )
-    ) check(edges)
+  /** Checks `corenesses` against `Peeling` on `edges`, in every mode. */
+  private def checkCorenesses(edges: Seq[(Long, Long)]): Unit = {
+    val g = DirectedGraph.fromEdgeList(spark, edges, numPartitions = 2)
+    val lg = g.toLocal
+    val kmax = lg.ids.zip(Peeling.inCoreness(lg)).toMap
+    val lmax = lg.ids.zip(Peeling.outCoreness(lg)).toMap
+    for ((name, mode) <- modes(edges)) {
+      val ctx = SkylineCoreness.corenesses(g, mode)._1.collect().toMap
+      assert(ctx.view.mapValues(_.k0).toMap == kmax, s"kmax/$name on $edges")
+      assert(ctx.view.mapValues(_.l0).toMap == lmax, s"lmax/$name on $edges")
+    }
   }
 
-  test("generated graphs, ids negative and above 2^31 included") {
+  private val degenerate: Seq[Seq[(Long, Long)]] = {
+    val clique = for (u <- 0L until 5L; v <- 0L until 5L if u != v) yield (u, v)
+    val dag = for (u <- 0L until 6L; v <- u + 1 until 6L if (u + v) % 3 != 0) yield (u, v)
+    Seq(
+      Seq.empty,
+      Seq((1L, 2L)),
+      Seq((1L, 2L), (2L, 1L)),
+      (1L to 6L).map(v => (v, 0L)), // in-star
+      (1L to 6L).map(v => (0L, v)), // out-star
+      clique,
+      dag
+    )
+  }
+
+  /** Runs `f` on generated graphs, ids negative and above 2^31 included. */
+  private def forGenerated(f: Seq[(Long, Long)] => Unit): Unit = {
     val graphs = for {
       n <- Gen.choose(2, 24)
       m <- Gen.choose(1, 4 * n)
@@ -94,7 +122,20 @@ class HIndexReceiversSpec extends SparkSpec {
     } yield edges.filter { case (u, v) => u != v }.distinct
     // A fixed seed, so a failure reproduces.
     val params = Check.Parameters.default.withMinSuccessfulTests(6).withInitialSeed(Seed(14L))
-    val res = Check.check(params, Prop.forAllNoShrink(graphs) { edges => check(edges); true })
+    val res = Check.check(params, Prop.forAllNoShrink(graphs) { edges => f(edges); true })
     assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("degenerate graphs: empty, single edge, 2-cycle, stars, clique and DAG") {
+    degenerate.foreach(check)
+  }
+
+  test("generated graphs, ids negative and above 2^31 included") {
+    forGenerated(check)
+  }
+
+  test("corenesses equal Peeling's in- and out-corenesses on the degenerate and generated graphs") {
+    degenerate.foreach(checkCorenesses)
+    forGenerated(checkCorenesses)
   }
 }

@@ -226,7 +226,7 @@ class EngineSpec extends SparkSpec {
 
   test("onRoundEnd observes intermediate states") {
     val seen = Vector.newBuilder[Map[Long, Long]]
-    SuperstepEngine.run(
+    val r = SuperstepEngine.run(
       adjOf(Seq((1L, 2L), (2L, 3L), (3L, 4L))),
       MinLabel,
       VertexCentric(2),
@@ -235,6 +235,9 @@ class EngineSpec extends SparkSpec {
     val snaps = seen.result()
     assert(snaps.nonEmpty)
     assert(snaps.last == Map(1L -> 1L, 2L -> 1L, 3L -> 1L, 4L -> 1L))
+    // One snapshot per round, round 0's initial values first.
+    assert(snaps.size == r.metrics.rounds + 1)
+    assert(snaps.head == Map(1L -> 1L, 2L -> 2L, 3L -> 3L, 4L -> 4L))
   }
 
   /** Per-round accounting of one run: remote, local and changed counts per
@@ -266,7 +269,7 @@ class EngineSpec extends SparkSpec {
       mode <- Seq(VertexCentric(4), blockMode(4))
       (name, acc) <- Seq(
         "MinLabel" -> accountingOf(edges, MinLabel, mode),
-        "HIndexIn" -> accountingOf(edges, HIndexProgram(HIndexProgram.In), mode)
+        "HIndexIn" -> accountingOf(edges, HIndexProgram.In, mode)
       )
     } yield (s"$name/${mode.name}/seed=$seed", acc)
     assert(got.map(_._1).toSet == expected.keySet)
@@ -287,7 +290,7 @@ class EngineSpec extends SparkSpec {
       label: String
   ): Unit = {
     val adj = adjOf(edges).collect().toMap
-    val snaps = Vector.newBuilder[Map[Long, V]] += adj.map { case (v, a) => v -> p.init(v, a) }
+    val snaps = Vector.newBuilder[Map[Long, V]]
     val r = SuperstepEngine.run(adjOf(edges), p, mode,
       onRoundEnd = Some((values: RDD[(Long, V)]) => { snaps += values.collect().toMap; () }))
     val s = snaps.result()
@@ -304,7 +307,7 @@ class EngineSpec extends SparkSpec {
       for (part <- Seq(Partitioners.hash(4), Partitioners.fennel(edges, 4), Partitioners.metisLike(edges, 4))) {
         val mode = BlockCentric(part.assign, part.numBlocks)
         checkRemoteAccounting(edges, MinLabel, mode, s"MinLabel/${part.name}/seed=$seed")
-        checkRemoteAccounting(edges, HIndexProgram(HIndexProgram.In), mode, s"HIndexIn/${part.name}/seed=$seed")
+        checkRemoteAccounting(edges, HIndexProgram.In, mode, s"HIndexIn/${part.name}/seed=$seed")
       }
     }
   }
