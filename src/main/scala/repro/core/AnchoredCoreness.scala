@@ -46,8 +46,8 @@ object HIndexProgram {
       def inN(c: (VertexAdj, Array[Int])): Array[Long] = Array.emptyLongArray
       def outN(c: (VertexAdj, Array[Int])): Array[Long] = c._1.outN
       def receivers(c: (VertexAdj, Array[Int])): Array[Long] = c._1.inN
-      override def receivers(c: (VertexAdj, Array[Int]), h: Int): Array[Long] = {
-        val (readers, caps) = (c._1.inN, c._2)
+      override def receivers(c: (VertexAdj, Array[Int]), s: NeighbourFixpoint.State[Int], round: Int): Array[Long] = {
+        val (readers, caps, h) = (c._1.inN, c._2, s.value)
         val b = Array.newBuilder[Long]
         var i = 0
         while (i < readers.length) {
@@ -70,23 +70,14 @@ object HIndexProgram {
   */
 object AnchoredCoreness {
 
-  /** Adjacency enriched with each neighbor's kmax — what Phases II/III see.
-    * `inK(i)` is the kmax of `adj.inN(i)`, `outK(i)` that of `adj.outN(i)`.
+  /** Adjacency and the vertex's own kmax — what Phases II/III see. A
+    * neighbour's kmax is only needed to test whether it is in G[k], and its
+    * Phase II/III arrays run to its kmax, so it is in G[k] iff its array in
+    * the tables is longer than k. Both phases send every value to every
+    * reader, so round 0 writes each slot with the neighbour's own array
+    * before `update` first runs (DESIGN.md §7).
     */
-  final case class AdjK(adj: VertexAdj, inK: Array[Int], outK: Array[Int], kmax: Int)
-
-  /** The kmax exchange before Phase II: each vertex sends its kmax once to
-    * every in- and out-neighbor (a 2-cycle neighbor gets one per edge) and
-    * never changes, so the run ends after one round with `in`/`out` holding
-    * the neighbors' kmax — exactly `AdjK.inK`/`outK`.
-    */
-  private object KmaxExchange extends NeighbourFixpoint[(VertexAdj, Int), Int] {
-    def inN(c: (VertexAdj, Int)): Array[Long] = c._1.inN
-    def outN(c: (VertexAdj, Int)): Array[Long] = c._1.outN
-    def receivers(c: (VertexAdj, Int)): Array[Long] = c._1.inN ++ c._1.outN
-    def init(vid: Long, c: (VertexAdj, Int)): Int = c._2
-    def update(c: (VertexAdj, Int), k: Int, in: Array[Int], out: Array[Int]): Option[Int] = None
-  }
+  final case class AdjK(adj: VertexAdj, kmax: Int)
 
   /** Phase II (Alg. 3): batch n-order out-H-index on every G[k],
     * k in [0, kmax(v)]. Following the paper's own Table-1 trace, the 0-order
@@ -101,9 +92,9 @@ object AnchoredCoreness {
 
     def update(a: AdjK, oh: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
       val oh2 = Array.tabulate(a.kmax + 1) { k =>
-        // Out-neighbors still in G[k] (their kmax >= k) feed the H-index;
-        // their arrays run to their kmax, so they hold an entry for k.
-        val h = HIndex.hIndex(out.indices.collect { case j if a.outK(j) >= k => out(j)(k) })
+        // Out-neighbors still in G[k] (their arrays hold an entry for k) feed
+        // the H-index.
+        val h = HIndex.hIndex(out.collect { case o if o.length > k => o(k) })
         math.min(oh(k), h)
       }
       if (oh2.sameElements(oh)) None else Some(oh2)
@@ -122,24 +113,23 @@ object AnchoredCoreness {
     def receivers(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
     def init(vid: Long, c: (AdjK, Array[Int])): Array[Int] = c._2
 
-    /** Neighbors in G[k] (kmax >= k, so their arrays hold an entry for k)
-      * whose bound at k is at least `threshold`.
+    /** Neighbors in G[k] (their arrays hold an entry for k) whose bound at k
+      * is at least `threshold`.
       */
-    private def support(bounds: Array[Array[Int]], ks: Array[Int], k: Int, threshold: Int): Int = {
+    private def support(bounds: Array[Array[Int]], k: Int, threshold: Int): Int = {
       var c = 0
       var j = 0
       while (j < bounds.length) {
-        if (ks(j) >= k && bounds(j)(k) >= threshold) c += 1
+        if (bounds(j).length > k && bounds(j)(k) >= threshold) c += 1
         j += 1
       }
       c
     }
 
     def update(c: (AdjK, Array[Int]), l: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
-      val a = c._1
       val l2 = Array.tabulate(l.length) { k =>
         var t = l(k)
-        while (t > 0 && (support(in, a.inK, k, t) < k || support(out, a.outK, k, t) < t)) t -= 1
+        while (t > 0 && (support(in, k, t) < k || support(out, k, t) < t)) t -= 1
         t
       }
       if (l2.sameElements(l)) None else Some(l2)
@@ -152,13 +142,15 @@ object AnchoredCoreness {
       kmax: RDD[(Long, Int)],
       phase1: EngineMetrics,
       phase2: EngineMetrics,
-      phase3: EngineMetrics,
-      /** one-off kmax exchange before Phase II (2 msgs/edge; cut edges only
-        * in block-centric mode), as the engine counted it */
-      setupMessages: Long
+      phase3: EngineMetrics
   ) {
     def totalRounds: Int = phase1.rounds + phase2.rounds + phase3.rounds
-    def totalMessages: Long = phase1.totalMessages + phase2.totalMessages + phase3.totalMessages + setupMessages
+    def totalMessages: Long = phase1.totalMessages + phase2.totalMessages + phase3.totalMessages
+
+    /** Messages sent outside the three phases: none, since Phases II/III
+      * read G[k] membership from their own messages (`AdjK`).
+      */
+    def setupMessages: Long = 0L
     def skyline: RDD[(Long, Vector[(Int, Int)])] = lmax.mapValues(Coreness.skylineOfAnchored)
   }
 
@@ -194,14 +186,9 @@ object AnchoredCoreness {
       onRoundEnd = record(t1)
     )
 
-    // ---- kmax exchange: every vertex tells each neighbor its kmax so that
-    // G[k] membership is locally checkable. One engine round of setup, so
-    // `totalRounds` (Table 4's three phases) leaves it out.
-    val ex = SuperstepEngine.run(p1.vertices.mapValues { case (a, s) => (a, s.value._1) }, KmaxExchange, mode, maxRounds)
-
     // ---- Phase II: upper bounds lupp(k, v).
     val p2 = SuperstepEngine.run(
-      ex.vertices.mapValues { case ((a, _), s) => AdjK(a, s.in, s.out, s.value) },
+      p1.vertices.mapValues { case (a, s) => AdjK(a, s.value._1) },
       Phase2Program,
       mode,
       maxRounds,
@@ -220,6 +207,6 @@ object AnchoredCoreness {
     lmax.count()
 
     traceSink.foreach(sink => sink(Trace(t1.result().map(_.view.mapValues(_._1).toMap), t2.result(), t3.result())))
-    ACRun(lmax, p1.values.mapValues(_._1), p1.metrics, p2.metrics, p3.metrics, ex.metrics.totalMessages)
+    ACRun(lmax, p1.values.mapValues(_._1), p1.metrics, p2.metrics, p3.metrics)
   }
 }

@@ -69,6 +69,18 @@ final case class SkylineSet(pairs: Vector[(Int, Int)]) {
     }
     lo > 0 && pairs(lo - 1)._2 >= l
   }
+
+  /** True iff every pair of `o` is dominated-or-equal by some pair of this
+    * set. Both staircases run k descending, so one walk over this set's
+    * pairs answers all of `o`'s.
+    */
+  def dominatesOrEq(o: SkylineSet): Boolean = {
+    var i = 0 // pairs(0 until i) are those with k' >= the current k
+    o.pairs.forall { case (k, l) =>
+      while (i < pairs.length && pairs(i)._1 >= k) i += 1
+      i > 0 && pairs(i - 1)._2 >= l
+    }
+  }
 }
 
 object SkylineSet {

@@ -27,12 +27,33 @@ object SkylineCoreness {
   final case class SCCtx(adj: VertexAdj, k0: Int, l0: Int)
 
   /** Alg. 5: each vertex's value is its D-index as a `SkylineSet`, so a
-    * neighbour's staircase is built once, by the neighbour.
+    * neighbour's staircase is built once, by the neighbour. Every neighbour
+    * both feeds and reads a vertex. Round 0 sends each initial value to every
+    * neighbour; from round 1 on, a new value S goes to a neighbour u only if
+    * S fails to dominate-or-equal some pair of the last value u sent, which
+    * the sender's own table holds. Otherwise S agrees with what u already
+    * holds on every pair u can still output, so every round's values stay
+    * those of Alg. 5 (DESIGN.md §7). One merge walk over the sorted `inN`
+    * and `outN` finds each neighbour's slot and visits a 2-cycle neighbour
+    * once.
     */
   private object SCProgram extends NeighbourFixpoint[SCCtx, SkylineSet] {
     def inN(c: SCCtx): Array[Long] = c.adj.inN
     def outN(c: SCCtx): Array[Long] = c.adj.outN
     def receivers(c: SCCtx): Array[Long] = c.adj.distinctNeighbors
+    override def receivers(c: SCCtx, s: NeighbourFixpoint.State[SkylineSet], round: Int): Array[Long] = {
+      val (in, out) = (c.adj.inN, c.adj.outN)
+      val b = Array.newBuilder[Long]
+      def visit(u: Long, heard: SkylineSet): Unit = if (round == 0 || !s.value.dominatesOrEq(heard)) b += u
+      var i = 0
+      var j = 0
+      while (i < in.length || j < out.length) {
+        if (j == out.length || (i < in.length && in(i) < out(j))) { visit(in(i), s.in(i)); i += 1 }
+        else if (i == in.length || out(j) < in(i)) { visit(out(j), s.out(j)); j += 1 }
+        else { visit(in(i), s.in(i)); i += 1; j += 1 }
+      }
+      b.result()
+    }
     def init(vid: Long, c: SCCtx): SkylineSet = SkylineSet(Vector((c.k0, c.l0)))
 
     def update(c: SCCtx, d: SkylineSet, in: Array[SkylineSet], out: Array[SkylineSet]): Option[SkylineSet] = {

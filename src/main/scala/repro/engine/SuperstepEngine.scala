@@ -147,7 +147,7 @@ object SuperstepEngine {
         State(v, Array.fill(program.inN(c).length)(v), Array.fill(program.outN(c).length)(v))
       }
       val outbox = vids.indices.iterator.flatMap { i =>
-        program.receivers(ctxs(i), states(i).value).iterator.map(t => (t, (vids(i), states(i).value)))
+        program.receivers(ctxs(i), states(i), 0).iterator.map(t => (t, (vids(i), states(i).value)))
       }.toArray
       val local =
         if (localDelivery) outbox.count { case (t, _) => java.util.Arrays.binarySearch(vids, t) >= 0 }.toLong else 0L
@@ -250,7 +250,7 @@ object SuperstepEngine {
       }
       // Broadcasts within the block go out only after every vertex with mail
       // has run, so all of them read the same tables (Jacobi order).
-      if (localDelivery) for (i <- changed; t <- program.receivers(ctxs(i), states(i).value)) {
+      if (localDelivery) for (i <- changed; t <- program.receivers(ctxs(i), states(i), round)) {
         val j = java.util.Arrays.binarySearch(vids, t)
         if (j >= 0) {
           deliver(j, vids(i), states(i).value)
@@ -263,7 +263,7 @@ object SuperstepEngine {
     // Once the block has settled, each vertex that changed this round sends
     // its final value once to every receiver outside the block.
     val outbox = mutable.ArrayBuffer.empty[(Long, (Long, V))]
-    for (i <- 0 until n if lastChanged(i) == round; t <- program.receivers(ctxs(i), states(i).value))
+    for (i <- 0 until n if lastChanged(i) == round; t <- program.receivers(ctxs(i), states(i), round))
       if (!localDelivery || java.util.Arrays.binarySearch(vids, t) < 0) outbox += ((t, (vids(i), states(i).value)))
 
     Block(states, lastChanged, outbox.toArray,

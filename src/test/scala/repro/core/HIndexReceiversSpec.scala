@@ -1,13 +1,5 @@
 package repro.core
 
-import scala.reflect.ClassTag
-
-import org.apache.spark.rdd.RDD
-import org.scalacheck.{Gen, Prop, Test => Check}
-import org.scalacheck.rng.Seed
-import org.scalacheck.util.Pretty
-
-import repro.SparkSpec
 import repro.engine._
 
 /** Alg. 2 in both directions: `HIndexProgram.In` tells each vertex its
@@ -21,7 +13,7 @@ import repro.engine._
   * round. `SkylineCoreness.corenesses`, which chains the two runs, equals
   * `Peeling`'s in- and out-corenesses.
   */
-class HIndexReceiversSpec extends SparkSpec {
+class HIndexReceiversSpec extends DifferentialSpec {
 
   /** Alg. 2 as printed: the in-H-index (`in`) or the out-H-index, each value
     * sent to every reader. The reference both programs are checked against.
@@ -38,21 +30,6 @@ class HIndexReceiversSpec extends SparkSpec {
         if (h < value) Some(h) else None
       }
     }
-
-  /** Each round's values, round 0's initial values first, the metrics and
-    * the final states.
-    */
-  private def trajectory[C: ClassTag, V: ClassTag](adj: RDD[(Long, C)], p: NeighbourFixpoint[C, V], mode: EngineMode) = {
-    val snaps = Vector.newBuilder[Map[Long, V]]
-    val r = SuperstepEngine.run(adj, p, mode, onRoundEnd = Some((vs: RDD[(Long, V)]) => { snaps += vs.collect().toMap; () }))
-    (snaps.result(), r.metrics, r.vertices)
-  }
-
-  /** V mode, and HASH, FENNEL and METIS-like blocks over `edges`. */
-  private def modes(edges: Seq[(Long, Long)]): Seq[(String, EngineMode)] =
-    ("V", VertexCentric(3)) +:
-      Seq(Partitioners.hash(3), Partitioners.fennel(edges, 3), Partitioners.metisLike(edges, 3))
-        .map(part => (part.name, BlockCentric(part.assign, part.numBlocks)))
 
   /** Checks the programs against `plain` on `edges`, in every mode. */
   private def check(edges: Seq[(Long, Long)]): Unit = {
@@ -95,35 +72,6 @@ class HIndexReceiversSpec extends SparkSpec {
       assert(ctx.view.mapValues(_.k0).toMap == kmax, s"kmax/$name on $edges")
       assert(ctx.view.mapValues(_.l0).toMap == lmax, s"lmax/$name on $edges")
     }
-  }
-
-  private val degenerate: Seq[Seq[(Long, Long)]] = {
-    val clique = for (u <- 0L until 5L; v <- 0L until 5L if u != v) yield (u, v)
-    val dag = for (u <- 0L until 6L; v <- u + 1 until 6L if (u + v) % 3 != 0) yield (u, v)
-    Seq(
-      Seq.empty,
-      Seq((1L, 2L)),
-      Seq((1L, 2L), (2L, 1L)),
-      (1L to 6L).map(v => (v, 0L)), // in-star
-      (1L to 6L).map(v => (0L, v)), // out-star
-      clique,
-      dag
-    )
-  }
-
-  /** Runs `f` on generated graphs, ids negative and above 2^31 included. */
-  private def forGenerated(f: Seq[(Long, Long)] => Unit): Unit = {
-    val graphs = for {
-      n <- Gen.choose(2, 24)
-      m <- Gen.choose(1, 4 * n)
-      offset <- Gen.oneOf(0L, -12L, 1L << 32)
-      ends = Gen.choose(0L, n - 1L).map(_ + offset)
-      edges <- Gen.listOfN(m, Gen.zip(ends, ends))
-    } yield edges.filter { case (u, v) => u != v }.distinct
-    // A fixed seed, so a failure reproduces.
-    val params = Check.Parameters.default.withMinSuccessfulTests(6).withInitialSeed(Seed(14L))
-    val res = Check.check(params, Prop.forAllNoShrink(graphs) { edges => f(edges); true })
-    assert(res.passed, Pretty.pretty(res))
   }
 
   test("degenerate graphs: empty, single edge, 2-cycle, stars, clique and DAG") {

@@ -113,6 +113,14 @@ class SkylineSetSpec extends AnyFunSuite {
       }
     }
   }
+  test("set dominance matches pair dominance, empty sets included") {
+    val rng = new Random(8)
+    def gen() = SkylineSet.of(Seq.fill(rng.nextInt(6))((rng.nextInt(8), rng.nextInt(8))))
+    for (_ <- 1 to 300) {
+      val (s, o) = (gen(), gen())
+      assert(s.dominatesOrEq(o) == o.pairs.forall { case (k, l) => s.dominatesOrEq(k, l) }, s"s=$s o=$o")
+    }
+  }
   test("maxK/maxL") {
     val s = SkylineSet.of(Seq((5, 1), (2, 4), (3, 3)))
     assert(s.maxK == 5 && s.maxL == 4)

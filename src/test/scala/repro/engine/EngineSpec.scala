@@ -65,7 +65,8 @@ object TestPrograms {
     def inN(a: VertexAdj): Array[Long] = a.inN
     def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
     def receivers(a: VertexAdj): Array[Long] = a.outN
-    override def receivers(a: VertexAdj, v: Long): Array[Long] = if (v % 2 != 0) a.outN else Array.emptyLongArray
+    override def receivers(a: VertexAdj, s: NeighbourFixpoint.State[Long], round: Int): Array[Long] =
+      if (s.value % 2 != 0) a.outN else Array.emptyLongArray
     def init(vid: Long, a: VertexAdj): Long = vid
     def update(a: VertexAdj, s: Long, in: Array[Long], out: Array[Long]): Option[Long] = None
   }
