@@ -3,8 +3,6 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
-import scala.collection.mutable
-
 import repro.engine._
 
 /** The n-order H-index fixpoints (Defs. 4.2/4.3, Alg. 2), one per
@@ -23,7 +21,7 @@ object HIndexProgram {
     new NeighbourFixpoint[VertexAdj, (Int, Int)] {
       def inN(a: VertexAdj): Array[Long] = a.inN
       def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
-      def receivers(a: VertexAdj): Array[Long] = a.outN
+      def receivers(a: VertexAdj, s: NeighbourFixpoint.State[(Int, Int)], round: Int): Array[Long] = a.outN
       def init(vid: Long, a: VertexAdj): (Int, Int) = (a.inDeg, a.outDeg)
       def update(a: VertexAdj, v: (Int, Int), in: Array[(Int, Int)], out: Array[(Int, Int)]): Option[(Int, Int)] = {
         val h = HIndex.hIndex(in.map(_._1))
@@ -45,8 +43,7 @@ object HIndexProgram {
     new NeighbourFixpoint[(VertexAdj, Array[Int]), Int] {
       def inN(c: (VertexAdj, Array[Int])): Array[Long] = Array.emptyLongArray
       def outN(c: (VertexAdj, Array[Int])): Array[Long] = c._1.outN
-      def receivers(c: (VertexAdj, Array[Int])): Array[Long] = c._1.inN
-      override def receivers(c: (VertexAdj, Array[Int]), s: NeighbourFixpoint.State[Int], round: Int): Array[Long] = {
+      def receivers(c: (VertexAdj, Array[Int]), s: NeighbourFixpoint.State[Int], round: Int): Array[Long] = {
         val (readers, caps, h) = (c._1.inN, c._2, s.value)
         val b = Array.newBuilder[Long]
         var i = 0
@@ -87,7 +84,7 @@ object AnchoredCoreness {
   private object Phase2Program extends NeighbourFixpoint[AdjK, Array[Int]] {
     def inN(a: AdjK): Array[Long] = Array.emptyLongArray
     def outN(a: AdjK): Array[Long] = a.adj.outN
-    def receivers(a: AdjK): Array[Long] = a.adj.inN
+    def receivers(a: AdjK, s: NeighbourFixpoint.State[Array[Int]], round: Int): Array[Long] = a.adj.inN
     def init(vid: Long, a: AdjK): Array[Int] = Array.fill(a.kmax + 1)(a.adj.outDeg)
 
     def update(a: AdjK, oh: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
@@ -110,7 +107,8 @@ object AnchoredCoreness {
   private object Phase3Program extends NeighbourFixpoint[(AdjK, Array[Int]), Array[Int]] {
     def inN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.inN
     def outN(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.outN
-    def receivers(c: (AdjK, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
+    def receivers(c: (AdjK, Array[Int]), s: NeighbourFixpoint.State[Array[Int]], round: Int): Array[Long] =
+      c._1.adj.distinctNeighbors
     def init(vid: Long, c: (AdjK, Array[Int])): Array[Int] = c._2
 
     /** Neighbors in G[k] (their arrays hold an entry for k) whose bound at k
@@ -142,7 +140,9 @@ object AnchoredCoreness {
       kmax: RDD[(Long, Int)],
       phase1: EngineMetrics,
       phase2: EngineMetrics,
-      phase3: EngineMetrics
+      phase3: EngineMetrics,
+      /** Each phase's values after each round; empty when untraced. */
+      trace: Trace
   ) {
     def totalRounds: Int = phase1.rounds + phase2.rounds + phase3.rounds
     def totalMessages: Long = phase1.totalMessages + phase2.totalMessages + phase3.totalMessages
@@ -160,31 +160,18 @@ object AnchoredCoreness {
       phase3: Vector[Map[Long, Array[Int]]]
   )
 
-  /** Run the full AC decomposition. `mode` selects AC-V vs AC-B. Each run
-    * starts from the previous run's vertices, so no phase re-joins the adjacency.
+  /** Run the full AC decomposition. `mode` selects AC-V vs AC-B; a `trace`d
+    * run also returns each phase's values after each round. Each run starts
+    * from the previous run's vertices, so no phase re-joins the adjacency.
     */
   def run(
       g: DirectedGraph,
       mode: EngineMode,
       maxRounds: Int = 5000,
-      traceSink: Option[Trace => Unit] = None
+      trace: Boolean = false
   ): ACRun = {
-    val t1 = Vector.newBuilder[Map[Long, (Int, Int)]]
-    val t2 = Vector.newBuilder[Map[Long, Array[Int]]]
-    val t3 = Vector.newBuilder[Map[Long, Array[Int]]]
-    // Only a traced run observes its rounds; otherwise the engine builds no
-    // per-round view.
-    def record[V](into: mutable.Builder[Map[Long, V], _]): Option[RDD[(Long, V)] => Unit] =
-      traceSink.map(_ => values => into += values.collect().toMap)
-
     // ---- Phase I: kmax(v) via the in-H-index fixpoint.
-    val p1 = SuperstepEngine.run(
-      g.adjacency(),
-      HIndexProgram.In,
-      mode,
-      maxRounds,
-      onRoundEnd = record(t1)
-    )
+    val p1 = SuperstepEngine.run(g.adjacency(), HIndexProgram.In, mode, maxRounds, trace)
 
     // ---- Phase II: upper bounds lupp(k, v).
     val p2 = SuperstepEngine.run(
@@ -192,7 +179,7 @@ object AnchoredCoreness {
       Phase2Program,
       mode,
       maxRounds,
-      onRoundEnd = record(t2)
+      trace
     )
 
     // ---- Phase III: refine to exact lmax(k, v).
@@ -201,12 +188,12 @@ object AnchoredCoreness {
       Phase3Program,
       mode,
       maxRounds,
-      onRoundEnd = record(t3)
+      trace
     )
     val lmax = p3.values.persist(StorageLevel.MEMORY_AND_DISK)
     lmax.count()
 
-    traceSink.foreach(sink => sink(Trace(t1.result().map(_.view.mapValues(_._1).toMap), t2.result(), t3.result())))
-    ACRun(lmax, p1.values.mapValues(_._1), p1.metrics, p2.metrics, p3.metrics)
+    ACRun(lmax, p1.values.mapValues(_._1), p1.metrics, p2.metrics, p3.metrics,
+      Trace(p1.trace.map(_.view.mapValues(_._1).toMap), p2.trace, p3.trace))
   }
 }

@@ -52,7 +52,6 @@ final case class SkylineSet(pairs: Vector[(Int, Int)]) {
     s"not a staircase: $pairs"
   )
 
-  def isEmpty: Boolean = pairs.isEmpty
   def maxK: Int = if (pairs.isEmpty) 0 else pairs.head._1
   def maxL: Int = if (pairs.isEmpty) 0 else pairs.last._2
 
@@ -108,27 +107,20 @@ object DIndex {
     }
     def supports(k: Int, l: Int): Boolean = count(in, k, l) >= k && count(out, k, l) >= l
 
+    // For each k, the largest supported l above the last pair's. The scan
+    // reaches l = 0 until a pair is found (Alg. 6 as printed stops at 1, but
+    // skyline pairs like (2,0) exist; DESIGN.md §7), and (0,0) is always
+    // supported, so the result is never empty.
     val res = Vector.newBuilder[(Int, Int)]
-    var lmin = 0
-    var emitted = false
+    var lmin = -1
     var k = kCap
-    while (k >= 0) {
+    while (k >= 0 && lmin < lCap) {
       var l = lCap
-      var found = false
-      while (l > lmin && !found) {
-        if (supports(k, l)) { res += ((k, l)); lmin = l; found = true }
-        l -= 1
-      }
-      // l = 0 candidates: only the largest supported k matters (see DESIGN.md
-      // §7 — Alg. 6 as printed skips l=0, but skyline pairs like (2,0) exist).
-      if (!found && !emitted && lmin == 0 && k > 0 && supports(k, 0)) {
-        res += ((k, 0)); found = true
-      }
-      if (found) emitted = true
+      while (l > lmin && !supports(k, l)) l -= 1
+      if (l > lmin) { res += ((k, l)); lmin = l }
       k -= 1
     }
-    val d = res.result()
-    if (d.isEmpty) Vector((0, 0)) else d
+    res.result()
   }
 
   /** D-index of two pair sets, each pair standing for one neighbour. */

@@ -40,8 +40,7 @@ object SkylineCoreness {
   private object SCProgram extends NeighbourFixpoint[SCCtx, SkylineSet] {
     def inN(c: SCCtx): Array[Long] = c.adj.inN
     def outN(c: SCCtx): Array[Long] = c.adj.outN
-    def receivers(c: SCCtx): Array[Long] = c.adj.distinctNeighbors
-    override def receivers(c: SCCtx, s: NeighbourFixpoint.State[SkylineSet], round: Int): Array[Long] = {
+    def receivers(c: SCCtx, s: NeighbourFixpoint.State[SkylineSet], round: Int): Array[Long] = {
       val (in, out) = (c.adj.inN, c.adj.outN)
       val b = Array.newBuilder[Long]
       def visit(u: Long, heard: SkylineSet): Unit = if (round == 0 || !s.value.dominatesOrEq(heard)) b += u
@@ -67,7 +66,9 @@ object SkylineCoreness {
       skyline: RDD[(Long, Vector[(Int, Int)])],
       initIn: EngineMetrics,
       initOut: EngineMetrics,
-      main: EngineMetrics
+      main: EngineMetrics,
+      /** The main loop's values after each round; empty when untraced. */
+      trace: Vector[Map[Long, Vector[(Int, Int)]]]
   ) {
     /** Rounds of the D-index iteration proper (the paper's SC-V/SC-B rows
       * in Table 4 count the core iteration, not the Alg.-2 initialisation).
@@ -96,20 +97,19 @@ object SkylineCoreness {
     (ctx, rIn.metrics, rOut.metrics)
   }
 
-  /** Run the full SC decomposition. `mode` selects SC-V vs SC-B. */
+  /** Run the full SC decomposition. `mode` selects SC-V vs SC-B; a `trace`d
+    * run also returns the main loop's values after each round.
+    */
   def run(
       g: DirectedGraph,
       mode: EngineMode,
       maxRounds: Int = 5000,
-      traceSink: Option[Vector[Map[Long, Vector[(Int, Int)]]] => Unit] = None
+      trace: Boolean = false
   ): SCRun = {
     val (ctx, initIn, initOut) = corenesses(g, mode, maxRounds)
-    val trace = Vector.newBuilder[Map[Long, Vector[(Int, Int)]]]
-    def record(values: RDD[(Long, SkylineSet)]): Unit = trace += values.mapValues(_.pairs).collect().toMap
-    val main = SuperstepEngine.run(ctx, SCProgram, mode, maxRounds, onRoundEnd = traceSink.map(_ => record _))
+    val main = SuperstepEngine.run(ctx, SCProgram, mode, maxRounds, trace)
     val sky = main.values.mapValues(_.pairs).persist(StorageLevel.MEMORY_AND_DISK)
     sky.count()
-    traceSink.foreach(sink => sink(trace.result()))
-    SCRun(sky, initIn, initOut, main.metrics)
+    SCRun(sky, initIn, initOut, main.metrics, main.trace.map(_.view.mapValues(_.pairs).toMap))
   }
 }

@@ -15,22 +15,21 @@ package repro.engine
   * vertex's own initial value. Each time a vertex's value changes (and in
   * round 0, with its initial value) the engine sends it to
   * `receivers(ctx, state, round)`, the readers that need the sender's new
-  * `state.value` in that round, which is `receivers(ctx)` unless an instance
-  * overrides it. An override also sees the sender's tables, which hold the
-  * last value each neighbour sent it. It may leave out a reader whose
-  * `update` cannot tell the value apart from what that reader's slot
-  * already holds: the reader's own initial value, or an earlier value of
-  * the sender. Without one, every vertex sends its initial value to each of
-  * its receivers, and every slot an instance reads belongs to a neighbour
-  * that feeds it, so the first round overwrites every slot before `update`
-  * first runs. The engine runs a vertex only when it has mail, so `update`
-  * must return `None` on its own result when the tables have not changed.
+  * `state.value` in that round. The hook also sees the sender's tables,
+  * which hold the last value each neighbour sent it. It may leave out a
+  * reader whose `update` cannot tell the value apart from what that
+  * reader's slot already holds: the reader's own initial value, or an
+  * earlier value of the sender. A hook that ignores `state` and `round`
+  * sends every value, round 0's initial one included, to the same readers;
+  * when every slot an instance reads belongs to a neighbour that feeds it,
+  * the first round then overwrites every slot before `update` first runs.
+  * The engine runs a vertex only when it has mail, so `update` must return
+  * `None` on its own result when the tables have not changed.
   */
 trait NeighbourFixpoint[C, V] extends Serializable {
   def inN(ctx: C): Array[Long]
   def outN(ctx: C): Array[Long]
-  def receivers(ctx: C): Array[Long]
-  def receivers(ctx: C, state: NeighbourFixpoint.State[V], round: Int): Array[Long] = receivers(ctx)
+  def receivers(ctx: C, state: NeighbourFixpoint.State[V], round: Int): Array[Long]
   def init(vid: Long, ctx: C): V
   def update(ctx: C, value: V, in: Array[V], out: Array[V]): Option[V]
 }

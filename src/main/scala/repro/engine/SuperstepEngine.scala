@@ -46,7 +46,7 @@ final case class EngineMetrics(perRound: Vector[RoundCounts]) {
   def remoteMsgsPerRound: Vector[Long] = perRound.map(_.remote)
   def localMsgsPerRound: Vector[Long] = perRound.map(_.local)
 
-  /** Index r-1: vertices whose state changed in round r and not since. */
+  /** Index r-1: vertices whose state changed in round r. */
   def changedPerRound: Vector[Long] = (1 to rounds).map(r => perRound(r).lastChangedHist.getOrElse(r, 0L)).toVector
   def lastChangedHist: Map[Int, Long] = perRound.last.lastChangedHist
   def nVertices: Long = lastChangedHist.values.sum
@@ -88,8 +88,15 @@ private final case class BlockPartitioner(mode: BlockCentric) extends Partitione
 object SuperstepEngine {
   import NeighbourFixpoint.State
 
-  /** Each vertex's context and final state, partitioned as the run was. */
-  final case class RunResult[C, V](vertices: RDD[(Long, (C, State[V]))], metrics: EngineMetrics) {
+  /** Each vertex's context and final state, partitioned as the run was.
+    * `trace` holds every vertex's value after each round, round 0's initial
+    * values first; it is empty when the run is untraced.
+    */
+  final case class RunResult[C, V](
+      vertices: RDD[(Long, (C, State[V]))],
+      metrics: EngineMetrics,
+      trace: Vector[Map[Long, V]]
+  ) {
     def values: RDD[(Long, V)] = vertices.mapValues(_._2.value)
   }
 
@@ -103,16 +110,16 @@ object SuperstepEngine {
       counts: RoundCounts
   )
 
-  /** Runs `program` on `vertices` until no message is in flight.
-    * `onRoundEnd` sees every vertex's value after each round, round 0's
-    * initial values first.
+  /** Runs `program` on `vertices` until no message is in flight. A `trace`d
+    * run collects every vertex's value after each round to the Spark
+    * driver, one job per round; an untraced run starts no job for it.
     */
   def run[C: ClassTag, V: ClassTag](
       vertices: RDD[(Long, C)],
       program: NeighbourFixpoint[C, V],
       mode: EngineMode,
       maxRounds: Int = 5000,
-      onRoundEnd: Option[RDD[(Long, V)] => Unit] = None
+      trace: Boolean = false
   ): RunResult[C, V] = {
     val (part, localDelivery) = mode match {
       case VertexCentric(p)   => (new HashPartitioner(p): Partitioner, false)
@@ -160,7 +167,8 @@ object SuperstepEngine {
     // Round 0's outbox also holds the messages that stay in their block.
     var pendingMsgs = first.remote + first.local
     var round = 0
-    def observe(): Unit = onRoundEnd.foreach(_(verticesOf(blocks).mapValues(_._2.value)))
+    val traced = Vector.newBuilder[Map[Long, V]]
+    def observe(): Unit = if (trace) traced += verticesOf(blocks).mapValues(_._2.value).collect().toMap
     observe()
 
     while (round < maxRounds && pendingMsgs > 0) {
@@ -182,7 +190,7 @@ object SuperstepEngine {
       observe()
     }
     require(pendingMsgs == 0, s"engine did not converge within $maxRounds rounds")
-    RunResult(verticesOf(blocks), EngineMetrics(perRound.result()))
+    RunResult(verticesOf(blocks), EngineMetrics(perRound.result()), traced.result())
   }
 
   /** One superstep of one block, without Spark. Each `(target, (sender,

@@ -60,18 +60,6 @@ object GraphGen {
     DirectedGraph.fromEdges(df)
   }
 
-  /** Uniform (Erdős–Rényi-ish) digraph. */
-  def uniform(spark: SparkSession, nVertices: Long, nEdges: Long, seed: Long): DirectedGraph = {
-    val draws = (nEdges * 1.15).toLong
-    val df = spark
-      .range(0, draws, 1, GenPartitions)
-      .select(
-        (rand(seed) * nVertices).cast("long") as "src",
-        (rand(seed + 1) * nVertices).cast("long") as "dst"
-      )
-    DirectedGraph.fromEdges(df)
-  }
-
   /** Citation-style graph: mostly a DAG (edges point from newer to older
     * ids, preferentially to "popular" older papers) plus a `backFrac`
     * sliver of back edges, so the maximal cores stay tiny (the paper's CT

@@ -11,63 +11,58 @@ class AnchoredCorenessSpec extends SparkSpec {
 
   private def fig2 = DirectedGraph.fromEdgeList(spark, EG.figure2Edges)
 
-  private lazy val fig2Trace: (AnchoredCoreness.ACRun, AnchoredCoreness.Trace) = {
-    var tr: AnchoredCoreness.Trace = null
-    val run = AnchoredCoreness.run(fig2, VertexCentric(2), traceSink = Some(t => tr = t))
-    (run, tr)
-  }
+  private lazy val fig2Run = AnchoredCoreness.run(fig2, VertexCentric(2), trace = true)
 
   // ---------------- Table 1 worked example, phase by phase -----------------
 
   test("Phase I round 0 reproduces Table 1 row iH^(0) (the in-degrees)") {
-    assert(fig2Trace._2.phase1.head == EG.fig2InDegrees)
+    assert(fig2Run.trace.phase1.head == EG.fig2InDegrees)
   }
   test("Phase I round 1 reproduces Table 1 row iH^(1)") {
-    val t = fig2Trace._2.phase1
+    val t = fig2Run.trace.phase1
     assert(t(1) == EG.fig2IH1)
   }
   test("Phase I fixpoint reproduces Table 1 row kmax") {
-    val kmax = fig2Trace._1.kmax.collect().toMap
+    val kmax = fig2Run.kmax.collect().toMap
     assert(kmax == EG.fig2Kmax)
   }
   test("Phase I converges in 2 rounds on figure 2 (iH^(2) = iH^(1))") {
-    val (run, trace) = fig2Trace
-    assert(run.phase1.rounds == 2)
-    assert(trace.phase1(2) == trace.phase1(1))
+    assert(fig2Run.phase1.rounds == 2)
+    assert(fig2Run.trace.phase1(2) == fig2Run.trace.phase1(1))
   }
   test("Phase II round 0 reproduces Table 1 row oH^(0)_{G[k]} (out-degrees in G)") {
-    val got = fig2Trace._2.phase2.head.view.mapValues(_.toVector).toMap
+    val got = fig2Run.trace.phase2.head.view.mapValues(_.toVector).toMap
     assert(got == EG.fig2OH0)
   }
   test("Phase II round 1 reproduces Table 1 row oH^(1)_{G[k]}") {
-    val t = fig2Trace._2.phase2
+    val t = fig2Run.trace.phase2
     val got = t(1).view.mapValues(_.toVector).toMap
     assert(got == EG.fig2OH1)
   }
   test("Phase II fixpoint reproduces Table 1 row lupp(k,v)") {
-    val t = fig2Trace._2.phase2
+    val t = fig2Run.trace.phase2
     val got = t.last.view.mapValues(_.toVector).toMap
     assert(got == EG.fig2Lupp)
   }
   test("Phase III round 0 starts from Table 1 row lupp(k,v)") {
-    val got = fig2Trace._2.phase3.head.view.mapValues(_.toVector).toMap
+    val got = fig2Run.trace.phase3.head.view.mapValues(_.toVector).toMap
     assert(got == EG.fig2Lupp)
   }
   test("Phase III round 1 reproduces Table 1 row l'upp (only v7's k=1 bound drops)") {
-    val t = fig2Trace._2.phase3
+    val t = fig2Run.trace.phase3
     val got = t(1).view.mapValues(_.toVector).toMap
     assert(got == EG.fig2Lmax)
   }
   test("final anchored corenesses reproduce Table 1 row lmax(k,v)") {
-    val got = fig2Trace._1.lmax.collect().toMap.view.mapValues(_.toVector).toMap
+    val got = fig2Run.lmax.collect().toMap.view.mapValues(_.toVector).toMap
     assert(got == EG.fig2Lmax)
   }
   test("Φ(v1) = {(0,2),(1,2),(2,2)} as in Example 4.3") {
-    val arr = fig2Trace._1.lmax.collect().toMap.apply(1L)
+    val arr = fig2Run.lmax.collect().toMap.apply(1L)
     assert(arr.toSeq.zipWithIndex.map { case (l, k) => (k, l) } == Seq((0, 2), (1, 2), (2, 2)))
   }
   test("skyline derived from AC matches Table 2") {
-    val sky = fig2Trace._1.skyline.collect().toMap
+    val sky = fig2Run.skyline.collect().toMap
     assert(sky == EG.fig2Skyline)
   }
 
@@ -168,7 +163,7 @@ class AnchoredCorenessSpec extends SparkSpec {
   test("AC sends no setup messages: its total is the three phases' sum") {
     val edges = GraphGen.randomLocalEdges(30, 100, 34).map { case (u, v) => (u - 10, v - 10) }
     val g = DirectedGraph.fromEdgeList(spark, edges)
-    for (run <- Seq(AnchoredCoreness.run(g, BlockCentric(v => v.toInt, 4)), AnchoredCoreness.run(g, VertexCentric(3)), fig2Trace._1)) {
+    for (run <- Seq(AnchoredCoreness.run(g, BlockCentric(v => v.toInt, 4)), AnchoredCoreness.run(g, VertexCentric(3)), fig2Run)) {
       assert(run.setupMessages == 0L)
       assert(run.totalMessages == run.phase1.totalMessages + run.phase2.totalMessages + run.phase3.totalMessages)
     }

@@ -20,9 +20,8 @@ trait DifferentialSpec extends SparkSpec {
     * the final states.
     */
   protected def trajectory[C: ClassTag, V: ClassTag](adj: RDD[(Long, C)], p: NeighbourFixpoint[C, V], mode: EngineMode) = {
-    val snaps = Vector.newBuilder[Map[Long, V]]
-    val r = SuperstepEngine.run(adj, p, mode, onRoundEnd = Some((vs: RDD[(Long, V)]) => { snaps += vs.collect().toMap; () }))
-    (snaps.result(), r.metrics, r.vertices)
+    val r = SuperstepEngine.run(adj, p, mode, trace = true)
+    (r.trace, r.metrics, r.vertices)
   }
 
   /** V mode, and HASH, FENNEL and METIS-like blocks over `edges`. */
@@ -50,18 +49,28 @@ trait DifferentialSpec extends SparkSpec {
     )
   }
 
-  /** Runs `f` on generated graphs, ids negative and above 2^31 included. */
-  protected def forGenerated(f: Seq[(Long, Long)] => Unit): Unit = {
-    val graphs = for {
-      n <- Gen.choose(2, 24)
-      m <- Gen.choose(1, 4 * n)
+  /** Runs `f` on fixed-seed generated graphs, ids negative and above 2^31
+    * included, and returns its results: six sparse graphs (n ≤ 24, up to 4n
+    * edge draws), and two denser ones (30 ≤ n ≤ 40, 3n to 5n draws), on
+    * which SC's main loop leaves messages out.
+    */
+  protected def forGenerated[A](f: Seq[(Long, Long)] => A): Seq[A] = {
+    def graphs(ns: Gen[Int], draws: Int => Gen[Int]) = for {
+      n <- ns
+      m <- draws(n)
       offset <- Gen.oneOf(0L, -12L, 1L << 32)
       ends = Gen.choose(0L, n - 1L).map(_ + offset)
       edges <- Gen.listOfN(m, Gen.zip(ends, ends))
     } yield edges.filter { case (u, v) => u != v }.distinct
-    // A fixed seed, so a failure reproduces.
-    val params = Check.Parameters.default.withMinSuccessfulTests(6).withInitialSeed(Seed(14L))
-    val res = Check.check(params, Prop.forAllNoShrink(graphs) { edges => f(edges); true })
-    assert(res.passed, Pretty.pretty(res))
+    val results = Vector.newBuilder[A]
+    for ((gen, count, seed) <- Seq(
+        (graphs(Gen.choose(2, 24), n => Gen.choose(1, 4 * n)), 6, 14L),
+        (graphs(Gen.choose(30, 40), n => Gen.choose(3 * n, 5 * n)), 2, 15L))) {
+      // A fixed seed, so a failure reproduces.
+      val params = Check.Parameters.default.withMinSuccessfulTests(count).withInitialSeed(Seed(seed))
+      val res = Check.check(params, Prop.forAllNoShrink(gen) { edges => results += f(edges); true })
+      assert(res.passed, Pretty.pretty(res))
+    }
+    results.result()
   }
 }

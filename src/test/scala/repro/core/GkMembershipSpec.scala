@@ -20,13 +20,12 @@ class GkMembershipSpec extends DifferentialSpec {
     def arrays(t: Vector[Map[Long, Array[Int]]]) = t.map(_.view.mapValues(_.toVector).toMap)
     for ((name, mode) <- modes(edges)) {
       val label = s"$name on $edges"
-      var tr: AnchoredCoreness.Trace = null
-      val ac = AnchoredCoreness.run(g, mode, traceSink = Some(t => tr = t))
+      val ac = AnchoredCoreness.run(g, mode, trace = true)
       val (v2, m2, s2) = trajectory(ctx, RefPhase2, mode)
       val (v3, m3, _) = trajectory(s2.mapValues { case (c, s) => (c, s.value) }, RefPhase3, mode)
-      assert(arrays(tr.phase2) == arrays(v2), s"Phase II values/$label")
+      assert(arrays(ac.trace.phase2) == arrays(v2), s"Phase II values/$label")
       assert(ac.phase2 == m2, s"Phase II metrics/$label")
-      assert(arrays(tr.phase3) == arrays(v3), s"Phase III values/$label")
+      assert(arrays(ac.trace.phase3) == arrays(v3), s"Phase III values/$label")
       assert(ac.phase3 == m3, s"Phase III metrics/$label")
       assert(ac.setupMessages == 0L, label)
       assert(ac.totalMessages == ac.phase1.totalMessages + m2.totalMessages + m3.totalMessages, label)
@@ -54,7 +53,7 @@ object GkMembershipSpec {
   object RefPhase2 extends NeighbourFixpoint[Ref, Array[Int]] {
     def inN(a: Ref): Array[Long] = Array.emptyLongArray
     def outN(a: Ref): Array[Long] = a.adj.outN
-    def receivers(a: Ref): Array[Long] = a.adj.inN
+    def receivers(a: Ref, s: NeighbourFixpoint.State[Array[Int]], round: Int): Array[Long] = a.adj.inN
     def init(vid: Long, a: Ref): Array[Int] = Array.fill(a.kmax + 1)(a.adj.outDeg)
     def update(a: Ref, oh: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
       val oh2 = Array.tabulate(a.kmax + 1) { k =>
@@ -68,7 +67,8 @@ object GkMembershipSpec {
   object RefPhase3 extends NeighbourFixpoint[(Ref, Array[Int]), Array[Int]] {
     def inN(c: (Ref, Array[Int])): Array[Long] = c._1.adj.inN
     def outN(c: (Ref, Array[Int])): Array[Long] = c._1.adj.outN
-    def receivers(c: (Ref, Array[Int])): Array[Long] = c._1.adj.distinctNeighbors
+    def receivers(c: (Ref, Array[Int]), s: NeighbourFixpoint.State[Array[Int]], round: Int): Array[Long] =
+      c._1.adj.distinctNeighbors
     def init(vid: Long, c: (Ref, Array[Int])): Array[Int] = c._2
     def update(c: (Ref, Array[Int]), l: Array[Int], in: Array[Array[Int]], out: Array[Array[Int]]): Option[Array[Int]] = {
       def support(bounds: Array[Array[Int]], ks: Array[Int], k: Int, t: Int): Int =

@@ -22,7 +22,7 @@ class HIndexReceiversSpec extends DifferentialSpec {
     new NeighbourFixpoint[VertexAdj, Int] {
       def inN(a: VertexAdj): Array[Long] = if (in) a.inN else Array.emptyLongArray
       def outN(a: VertexAdj): Array[Long] = if (!in) a.outN else Array.emptyLongArray
-      def receivers(a: VertexAdj): Array[Long] = if (in) a.outN else a.inN
+      def receivers(a: VertexAdj, s: NeighbourFixpoint.State[Int], round: Int): Array[Long] = if (in) a.outN else a.inN
       def init(vid: Long, a: VertexAdj): Int = if (in) a.inDeg else a.outDeg
 
       def update(a: VertexAdj, value: Int, ins: Array[Int], outs: Array[Int]): Option[Int] = {

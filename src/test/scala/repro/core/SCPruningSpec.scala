@@ -7,11 +7,13 @@ import repro.graphgen.{ExampleGraphs, GraphGen}
   * sent value it fails to dominate. Property: on every graph and in every
   * mode, its values equal those of Alg. 5 as printed, which sends each new
   * value to every neighbour from the same `corenesses` contexts, in every
-  * round; it takes the same rounds and sends the same round-0 messages, and
-  * no more messages in any later round.
+  * round; it takes no more rounds, sends the same round-0 messages, and no
+  * more messages in any later round.
   */
 class SCPruningSpec extends DifferentialSpec {
   import SCPruningSpec.Plain
+
+  private def sum(a: (Long, Long), b: (Long, Long)) = (a._1 + b._1, a._2 + b._2)
 
   /** Checks SC against `Plain` on `edges` in every mode; returns the
     * messages both sent over all modes, SC's first.
@@ -20,18 +22,20 @@ class SCPruningSpec extends DifferentialSpec {
     val g = DirectedGraph.fromEdgeList(spark, edges, numPartitions = 2)
     modes(edges).map { case (name, mode) =>
       val label = s"$name on $edges"
-      var tr = Vector.empty[Map[Long, Vector[(Int, Int)]]]
-      val pm = SkylineCoreness.run(g, mode, traceSink = Some(t => tr = t)).main
+      val sc = SkylineCoreness.run(g, mode, trace = true)
+      val pm = sc.main
       val (uv, um, _) = trajectory(SkylineCoreness.corenesses(g, mode)._1, Plain, mode)
-      assert(tr == uv.map(_.view.mapValues(_.pairs).toMap), s"values/$label")
-      assert(pm.rounds == um.rounds, s"rounds/$label")
+      assert(pm.rounds <= um.rounds, s"rounds/$label")
+      // Alg. 5 may spend its extra rounds on mail that changes nothing.
+      val plain = uv.map(_.view.mapValues(_.pairs).toMap)
+      assert(plain == sc.trace ++ Vector.fill(um.rounds - pm.rounds)(sc.trace.last), s"values/$label")
       assert(pm.perRound(0) == um.perRound(0), s"round 0/$label")
       for (r <- 1 to pm.rounds) {
         assert(pm.perRound(r).remote <= um.perRound(r).remote, s"$label: round $r remote")
         assert(pm.perRound(r).local <= um.perRound(r).local, s"$label: round $r local")
       }
       (pm.totalMessages + pm.totalLocalMessages, um.totalMessages + um.totalLocalMessages)
-    }.reduce((a, b) => (a._1 + b._1, a._2 + b._2))
+    }.reduce(sum)
   }
 
   test("degenerate graphs: empty, single edge, 2-cycles, stars, clique, DAG and negative ids") {
@@ -39,7 +43,9 @@ class SCPruningSpec extends DifferentialSpec {
   }
 
   test("generated graphs, ids negative and above 2^31 included") {
-    forGenerated(edges => check(edges))
+    // Summed over them, the rule must leave something out.
+    val (sc, plain) = forGenerated(check).reduce(sum)
+    assert(sc < plain, s"SC sent $sc messages, Alg. 5 $plain")
   }
 
   test("figure 2 and a denser random graph, where the rule leaves messages out") {
@@ -57,7 +63,8 @@ object SCPruningSpec {
   object Plain extends NeighbourFixpoint[SkylineCoreness.SCCtx, SkylineSet] {
     def inN(c: SkylineCoreness.SCCtx): Array[Long] = c.adj.inN
     def outN(c: SkylineCoreness.SCCtx): Array[Long] = c.adj.outN
-    def receivers(c: SkylineCoreness.SCCtx): Array[Long] = c.adj.distinctNeighbors
+    def receivers(c: SkylineCoreness.SCCtx, s: NeighbourFixpoint.State[SkylineSet], round: Int): Array[Long] =
+      c.adj.distinctNeighbors
     def init(vid: Long, c: SkylineCoreness.SCCtx): SkylineSet = SkylineSet(Vector((c.k0, c.l0)))
     def update(c: SkylineCoreness.SCCtx, d: SkylineSet, in: Array[SkylineSet], out: Array[SkylineSet]): Option[SkylineSet] = {
       val d2 = DIndex(in, out)

@@ -9,30 +9,26 @@ class SkylineCorenessSpec extends SparkSpec {
 
   private def fig2 = DirectedGraph.fromEdgeList(spark, EG.figure2Edges)
 
-  private lazy val fig2Run: (SkylineCoreness.SCRun, Vector[Map[Long, Vector[(Int, Int)]]]) = {
-    var tr: Vector[Map[Long, Vector[(Int, Int)]]] = Vector.empty
-    val run = SkylineCoreness.run(fig2, VertexCentric(2), traceSink = Some(t => tr = t))
-    (run, tr)
-  }
+  private lazy val fig2Run = SkylineCoreness.run(fig2, VertexCentric(2), trace = true)
 
   // ---------------- Table 2 worked example ---------------------------------
 
   test("tight initialisation D^(0) = (kmax, lmax) matches Table 2") {
-    assert(fig2Run._2.head == EG.fig2D0)
+    assert(fig2Run.trace.head == EG.fig2D0)
   }
   test("D^(1) reproduces Table 2 (only v7 and v8 change)") {
-    assert(fig2Run._2(1) == EG.fig2Skyline)
+    assert(fig2Run.trace(1) == EG.fig2Skyline)
   }
   test("D-index converges after one effective iteration on figure 2 (D^(2) = D^(1))") {
-    val t = fig2Run._2
+    val t = fig2Run.trace
     assert(t.last == t(1))
-    assert(fig2Run._1.rounds <= 2)
+    assert(fig2Run.rounds <= 2)
   }
   test("SC(v) reproduces Table 2 for every vertex") {
-    assert(fig2Run._1.skyline.collect().toMap == EG.fig2Skyline)
+    assert(fig2Run.skyline.collect().toMap == EG.fig2Skyline)
   }
   test("SC(v7) = {(1,1),(0,2)} as in Example 5.1") {
-    assert(fig2Run._1.skyline.collect().toMap.apply(7L) == Vector((1, 1), (0, 2)))
+    assert(fig2Run.skyline.collect().toMap.apply(7L) == Vector((1, 1), (0, 2)))
   }
 
   // ---------------- equivalence with ground truth --------------------------
@@ -134,9 +130,8 @@ class SkylineCorenessSpec extends SparkSpec {
     assert(a.totalMessages == b.totalMessages)
   }
   test("SC states only shrink (n-order D-index monotone convergence)") {
-    var snaps: Vector[Map[Long, Vector[(Int, Int)]]] = Vector.empty
     val g = DirectedGraph.fromEdgeList(spark, GraphGen.randomLocalEdges(40, 200, 73))
-    SkylineCoreness.run(g, VertexCentric(3), traceSink = Some(t => snaps = t))
+    val snaps = SkylineCoreness.run(g, VertexCentric(3), trace = true).trace
     for (Seq(prev, next) <- snaps.sliding(2) if snaps.size >= 2; v <- next.keys) {
       // every pair in the later set is dominated-or-equal by some earlier pair
       val p = SkylineSet(prev(v))

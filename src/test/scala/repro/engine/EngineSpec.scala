@@ -17,11 +17,13 @@ import repro.graphgen.{ExampleGraphs => EG, GraphGen}
   */
 object TestPrograms {
 
+  import NeighbourFixpoint.State
+
   /** Reads every neighbour and feeds them all. */
   trait Undirected[V] extends NeighbourFixpoint[VertexAdj, V] {
     def inN(a: VertexAdj): Array[Long] = a.inN
     def outN(a: VertexAdj): Array[Long] = a.outN
-    def receivers(a: VertexAdj): Array[Long] = a.distinctNeighbors
+    def receivers(a: VertexAdj, s: State[V], round: Int): Array[Long] = a.distinctNeighbors
   }
 
   /** Min vertex id over the weakly connected component. */
@@ -40,7 +42,7 @@ object TestPrograms {
   final class Countdown(start: Int) extends NeighbourFixpoint[VertexAdj, Int] {
     def inN(a: VertexAdj): Array[Long] = a.inN
     def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
-    def receivers(a: VertexAdj): Array[Long] = a.outN
+    def receivers(a: VertexAdj, s: State[Int], round: Int): Array[Long] = a.outN
     def init(vid: Long, a: VertexAdj): Int = start
     def update(a: VertexAdj, s: Int, in: Array[Int], out: Array[Int]): Option[Int] =
       if (s > a.inDeg + a.outDeg) Some(s - 1) else None
@@ -53,7 +55,7 @@ object TestPrograms {
     val Stray = 999L
     def inN(a: VertexAdj): Array[Long] = Array.emptyLongArray
     def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
-    def receivers(a: VertexAdj): Array[Long] = Array(Stray)
+    def receivers(a: VertexAdj, s: State[Int], round: Int): Array[Long] = Array(Stray)
     def init(vid: Long, a: VertexAdj): Int = 0
     def update(a: VertexAdj, s: Int, in: Array[Int], out: Array[Int]): Option[Int] = None
   }
@@ -64,8 +66,7 @@ object TestPrograms {
   object OddSenders extends NeighbourFixpoint[VertexAdj, Long] {
     def inN(a: VertexAdj): Array[Long] = a.inN
     def outN(a: VertexAdj): Array[Long] = Array.emptyLongArray
-    def receivers(a: VertexAdj): Array[Long] = a.outN
-    override def receivers(a: VertexAdj, s: NeighbourFixpoint.State[Long], round: Int): Array[Long] =
+    def receivers(a: VertexAdj, s: State[Long], round: Int): Array[Long] =
       if (s.value % 2 != 0) a.outN else Array.emptyLongArray
     def init(vid: Long, a: VertexAdj): Long = vid
     def update(a: VertexAdj, s: Long, in: Array[Long], out: Array[Long]): Option[Long] = None
@@ -225,20 +226,15 @@ class EngineSpec extends SparkSpec {
     }
   }
 
-  test("onRoundEnd observes intermediate states") {
-    val seen = Vector.newBuilder[Map[Long, Long]]
-    val r = SuperstepEngine.run(
-      adjOf(Seq((1L, 2L), (2L, 3L), (3L, 4L))),
-      MinLabel,
-      VertexCentric(2),
-      onRoundEnd = Some((values: RDD[(Long, Long)]) => { seen += values.collect().toMap; () })
-    )
-    val snaps = seen.result()
+  test("a traced run returns every round's values") {
+    val r = SuperstepEngine.run(adjOf(Seq((1L, 2L), (2L, 3L), (3L, 4L))), MinLabel, VertexCentric(2), trace = true)
+    val snaps = r.trace
     assert(snaps.nonEmpty)
     assert(snaps.last == Map(1L -> 1L, 2L -> 1L, 3L -> 1L, 4L -> 1L))
     // One snapshot per round, round 0's initial values first.
     assert(snaps.size == r.metrics.rounds + 1)
     assert(snaps.head == Map(1L -> 1L, 2L -> 2L, 3L -> 3L, 4L -> 4L))
+    assert(SuperstepEngine.run(adjOf(Seq((1L, 2L))), MinLabel, VertexCentric(2)).trace.isEmpty)
   }
 
   /** Per-round accounting of one run: remote, local and changed counts per
@@ -277,26 +273,26 @@ class EngineSpec extends SparkSpec {
     got.foreach { case (k, v) => assert(v == expected(k), k) }
   }
 
-  /** Runs `p` on `edges` in `mode` and checks each round's remote count
-    * against the number of (changed vertex, receiver outside its block)
-    * pairs, read off consecutive `onRoundEnd` snapshots (round 0: every
-    * vertex), and the final values against a vertex-centric run. Both test
-    * programs only ever lower a value, so a vertex changed in a round exactly
-    * when its value differs between the two snapshots.
+  /** Runs `p`, which sends every value to `receivers`, on `edges` in `mode`
+    * and checks each round's remote count against the number of (changed
+    * vertex, receiver outside its block) pairs, read off consecutive rounds
+    * of the run's trace (round 0: every vertex), and the final values
+    * against a vertex-centric run. Both test programs only ever lower a
+    * value, so a vertex changed in a round exactly when its value differs
+    * between the two rounds.
     */
   private def checkRemoteAccounting[V: ClassTag](
       edges: Seq[(Long, Long)],
       p: NeighbourFixpoint[VertexAdj, V],
+      receivers: VertexAdj => Array[Long],
       mode: BlockCentric,
       label: String
   ): Unit = {
     val adj = adjOf(edges).collect().toMap
-    val snaps = Vector.newBuilder[Map[Long, V]]
-    val r = SuperstepEngine.run(adjOf(edges), p, mode,
-      onRoundEnd = Some((values: RDD[(Long, V)]) => { snaps += values.collect().toMap; () }))
-    val s = snaps.result()
+    val r = SuperstepEngine.run(adjOf(edges), p, mode, trace = true)
+    val s = r.trace
     def outside(vs: Iterable[Long]): Long =
-      vs.iterator.map(v => p.receivers(adj(v)).count(t => mode.block(t) != mode.block(v)).toLong).sum
+      vs.iterator.map(v => receivers(adj(v)).count(t => mode.block(t) != mode.block(v)).toLong).sum
     val expected = outside(adj.keys) +: s.zip(s.tail).map { case (a, b) => outside(adj.keys.filter(v => a(v) != b(v))) }
     assert(r.metrics.remoteMsgsPerRound == expected, label)
     assert(s.last == SuperstepEngine.run(adjOf(edges), p, VertexCentric(4)).values.collect().toMap, label)
@@ -307,8 +303,8 @@ class EngineSpec extends SparkSpec {
       val edges = GraphGen.randomLocalEdges(60, 150, seed)
       for (part <- Seq(Partitioners.hash(4), Partitioners.fennel(edges, 4), Partitioners.metisLike(edges, 4))) {
         val mode = BlockCentric(part.assign, part.numBlocks)
-        checkRemoteAccounting(edges, MinLabel, mode, s"MinLabel/${part.name}/seed=$seed")
-        checkRemoteAccounting(edges, HIndexProgram.In, mode, s"HIndexIn/${part.name}/seed=$seed")
+        checkRemoteAccounting(edges, MinLabel, _.distinctNeighbors, mode, s"MinLabel/${part.name}/seed=$seed")
+        checkRemoteAccounting(edges, HIndexProgram.In, _.outN, mode, s"HIndexIn/${part.name}/seed=$seed")
       }
     }
   }

@@ -11,7 +11,7 @@ class NeighbourFixpointSpec extends AnyFunSuite {
   private object MaxHeard extends NeighbourFixpoint[VertexAdj, Int] {
     def inN(a: VertexAdj): Array[Long] = a.inN
     def outN(a: VertexAdj): Array[Long] = a.outN
-    def receivers(a: VertexAdj): Array[Long] = a.distinctNeighbors
+    def receivers(a: VertexAdj, s: State[Int], round: Int): Array[Long] = a.distinctNeighbors
     def init(vid: Long, a: VertexAdj): Int = 0
     def update(a: VertexAdj, value: Int, in: Array[Int], out: Array[Int]): Option[Int] = {
       val m = (in ++ out).max
